@@ -41,6 +41,8 @@ pub mod parallel;
 pub mod pipeline;
 pub mod report;
 pub mod stream;
+#[cfg(test)]
+mod test_support;
 
 pub use error::ProfileError;
 pub use harness::{EpochProfile, IterationProfile, Profiler, StatKind};

@@ -30,6 +30,12 @@
 //! * [`CheckpointSink`] renders the merged state into the periodic,
 //!   pause, and final checkpoint writes.
 //!
+//! After the stop, the replay phase walks the rest of the plan on the
+//! driver in round-sized blocks. Memoized shapes replay their recorded
+//! statistic; never-seen shapes are simulated on demand, batched up to
+//! `round_len` distinct shapes per [`RoundExecutor::profile_shapes`]
+//! call so a parallel placement simulates them concurrently.
+//!
 //! Merge, gate, and sink run on a dedicated stage thread connected to
 //! the driver by capacity-1 [`pipe`] channels, so round `N + 1` folds
 //! while round `N` merges and checkpoints — and backpressure falls out
@@ -43,7 +49,7 @@
 //!
 //! Every operator records a [`StageSample`] per item into a caller-
 //! provided [`StageMeter`], giving a loaded pipeline per-stage
-//! observability (items in/out, stage wall-ms, channel depth) for free
+//! observability (items in/out, stage wall µs, channel depth) for free
 //! at construction time — `seqpoint serve` plugs its metrics registry
 //! in here.
 //!
@@ -79,16 +85,19 @@ pub enum StageId {
     Gate,
     /// [`CheckpointSink`]: checkpoint rendering and persistence.
     Sink,
+    /// The replay phase's on-demand simulation of never-seen shapes.
+    Replay,
 }
 
 impl StageId {
     /// Every stage, in dataflow order.
-    pub const ALL: [StageId; 5] = [
+    pub const ALL: [StageId; 6] = [
         StageId::Source,
         StageId::Fold,
         StageId::Merge,
         StageId::Gate,
         StageId::Sink,
+        StageId::Replay,
     ];
 
     /// Stable lowercase label (metrics label value, docs).
@@ -99,6 +108,7 @@ impl StageId {
             StageId::Merge => "merge",
             StageId::Gate => "gate",
             StageId::Sink => "sink",
+            StageId::Replay => "replay",
         }
     }
 
@@ -110,6 +120,7 @@ impl StageId {
             StageId::Merge => 2,
             StageId::Gate => 3,
             StageId::Sink => 4,
+            StageId::Replay => 5,
         }
     }
 }
@@ -118,12 +129,12 @@ impl StageId {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageSample {
     /// Items the stage consumed (iterations for source/fold, reports
-    /// for merge, rounds for gate/sink).
+    /// for merge, rounds for gate/sink, shapes for replay).
     pub items_in: u64,
     /// Items the stage produced.
     pub items_out: u64,
-    /// Wall-clock milliseconds the stage spent on this unit.
-    pub wall_ms: u64,
+    /// Wall-clock microseconds the stage spent on this unit.
+    pub wall_us: u64,
     /// Depth of the stage's input channel when the sample was taken
     /// (the live backpressure signal; `0` for unchanneled stages).
     pub channel_depth: u64,
@@ -154,8 +165,8 @@ pub struct StageTally {
     pub items_in: u64,
     /// Total items produced.
     pub items_out: u64,
-    /// Total wall-clock milliseconds.
-    pub wall_ms: u64,
+    /// Total wall-clock microseconds.
+    pub wall_us: u64,
     /// Maximum observed input-channel depth.
     pub max_depth: u64,
     /// Samples recorded.
@@ -166,7 +177,7 @@ pub struct StageTally {
 /// harness); `seqpoint serve` uses its metrics registry instead.
 #[derive(Debug, Default)]
 pub struct TallyMeter {
-    slots: std::sync::Mutex<[StageTally; 5]>,
+    slots: std::sync::Mutex<[StageTally; StageId::ALL.len()]>,
 }
 
 impl TallyMeter {
@@ -188,15 +199,15 @@ impl StageMeter for TallyMeter {
         if let Some(slot) = slots.get_mut(stage.index()) {
             slot.items_in += sample.items_in;
             slot.items_out += sample.items_out;
-            slot.wall_ms += sample.wall_ms;
+            slot.wall_us += sample.wall_us;
             slot.max_depth = slot.max_depth.max(sample.channel_depth);
             slot.samples += 1;
         }
     }
 }
 
-fn elapsed_ms(since: Instant) -> u64 {
-    u64::try_from(since.elapsed().as_millis()).unwrap_or(u64::MAX)
+fn elapsed_us(since: Instant) -> u64 {
+    u64::try_from(since.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
 pub mod pipe {
@@ -358,7 +369,7 @@ impl<'p, 'm> RoundSource<'p, 'm> {
             StageSample {
                 items_in: block.len() as u64,
                 items_out: chunks.len() as u64,
-                wall_ms: elapsed_ms(started),
+                wall_us: elapsed_us(started),
                 channel_depth: 0,
             },
         );
@@ -407,7 +418,7 @@ impl<'e, 'm> ShardFold<'e, 'm> {
             StageSample {
                 items_in,
                 items_out: result.as_ref().map_or(0, |r| r.len() as u64),
-                wall_ms: elapsed_ms(started),
+                wall_us: elapsed_us(started),
                 channel_depth: 0,
             },
         );
@@ -424,16 +435,39 @@ impl<'e, 'm> ShardFold<'e, 'm> {
         Ok(reports)
     }
 
-    /// Profile one shape on demand (the replay phase's miss path).
+    /// Profile a batch of shapes on demand (the replay phase's miss
+    /// path), metered as [`StageId::Replay`].
     ///
     /// # Errors
     ///
-    /// [`ProfileError::Executor`] from the placement layer.
-    pub fn profile_shape(
+    /// [`ProfileError::Executor`] from the placement layer, or when the
+    /// executor answers the wrong number of shapes.
+    pub fn profile_shapes(
         &mut self,
-        shape: IterationShape,
-    ) -> Result<IterationProfile, ProfileError> {
-        self.executor.profile_shape(shape)
+        shapes: &[IterationShape],
+    ) -> Result<Vec<IterationProfile>, ProfileError> {
+        let started = Instant::now();
+        let result = self.executor.profile_shapes(shapes);
+        self.meter.record(
+            StageId::Replay,
+            StageSample {
+                items_in: shapes.len() as u64,
+                items_out: result.as_ref().map_or(0, |p| p.len() as u64),
+                wall_us: elapsed_us(started),
+                channel_depth: 0,
+            },
+        );
+        let profiles = result?;
+        if profiles.len() != shapes.len() {
+            return Err(ProfileError::Executor {
+                message: format!(
+                    "executor answered {} of {} shapes",
+                    profiles.len(),
+                    shapes.len()
+                ),
+            });
+        }
+        Ok(profiles)
     }
 
     /// Seed the executor's memo with already-profiled shapes (resume).
@@ -502,7 +536,7 @@ impl<'m> KeyedMerge<'m> {
             StageSample {
                 items_in: reports.len() as u64,
                 items_out: 1,
-                wall_ms: elapsed_ms(started),
+                wall_us: elapsed_us(started),
                 channel_depth: 0,
             },
         );
@@ -515,8 +549,9 @@ impl<'m> KeyedMerge<'m> {
     }
 
     /// Record an on-demand measurement from the replay phase: the shape
-    /// joins the memo and its runtime charges both cost totals (the
-    /// measurement ran serially, nothing overlapped it).
+    /// joins the memo and its runtime charges both cost totals (the cost
+    /// model treats replay measurements as serial on one device, however
+    /// many host threads simulated them).
     pub fn record_on_demand(&mut self, profile: IterationProfile) {
         self.profiled_serial_s += profile.time_s;
         self.profiled_wall_s += profile.time_s;
@@ -650,7 +685,7 @@ impl Gate for SaturationGate<'_> {
             StageSample {
                 items_in: 1,
                 items_out: 1,
-                wall_ms: elapsed_ms(started),
+                wall_us: elapsed_us(started),
                 channel_depth: 0,
             },
         );
@@ -760,7 +795,7 @@ impl<'a, 'm> CheckpointSink<'a, 'm> {
             StageSample {
                 items_in: 1,
                 items_out: 1,
-                wall_ms: elapsed_ms(started),
+                wall_us: elapsed_us(started),
                 channel_depth: 0,
             },
         );
@@ -934,7 +969,7 @@ fn drive_rounds(
             StageSample {
                 items_in: 0,
                 items_out: 0,
-                wall_ms: 0,
+                wall_us: 0,
                 channel_depth: to_merge.depth() as u64,
             },
         );
@@ -1024,6 +1059,28 @@ fn drive_rounds(
             }
         }
     }
+}
+
+/// The replay phase's next miss batch: up to `limit` distinct shapes of
+/// `ahead`, in first-occurrence order, that neither the merge memo nor
+/// the prefetched profiles hold.
+fn next_misses(
+    ahead: &[BatchShape],
+    merge: &KeyedMerge<'_>,
+    prefetched: &HashMap<(u32, u32), IterationProfile>,
+    limit: usize,
+) -> Vec<(u32, u32)> {
+    let mut misses: Vec<(u32, u32)> = Vec::new();
+    for batch in ahead {
+        let key = (batch.seq_len, batch.samples);
+        if merge.lookup(key).is_none() && !prefetched.contains_key(&key) && !misses.contains(&key) {
+            misses.push(key);
+            if misses.len() >= limit {
+                break;
+            }
+        }
+    }
+    misses
 }
 
 /// The canonical operator-graph assembly of streamed profiling:
@@ -1275,9 +1332,15 @@ impl<'e, 'p, 'x, 'm> StreamGraph<'e, 'p, 'x, 'm> {
         // Replay phase: batch shapes are free metadata from the data
         // pipeline; a shape profiled during the rounds replays its
         // recorded statistic, and only a never-seen shape costs a
-        // measurement. Paced in round-sized blocks so checkpoints keep
-        // landing.
+        // measurement. Misses are simulated in batches ahead of use;
+        // a prefetched profile enters the merge memo (and so any
+        // checkpoint) only when its first occurrence is consumed, so the
+        // selector sees the same observation sequence as one-at-a-time
+        // misses and a pause simply drops the unconsumed batch. Paced in
+        // round-sized blocks so checkpoints keep landing.
         let stat = self.options.stat;
+        let batches = self.plan.batches();
+        let mut prefetched: HashMap<(u32, u32), IterationProfile> = HashMap::new();
         while merge.consumed() < total_iterations {
             if budget.pause_now(blocks_this_run) {
                 let pause = sink.pause(gate.selector(), &merge)?;
@@ -1285,19 +1348,31 @@ impl<'e, 'p, 'x, 'm> StreamGraph<'e, 'p, 'x, 'm> {
             }
             let start = merge.consumed();
             let end = (start + self.options.round_len).min(total_iterations);
-            for batch in self.plan.batches().get(start..end).unwrap_or_default() {
+            for index in start..end {
+                let Some(batch) = batches.get(index) else {
+                    break;
+                };
                 let key = (batch.seq_len, batch.samples);
-                match merge.lookup(key) {
-                    Some(profile) => {
-                        gate.observe_replayed(profile.seq_len, profile.stat(stat));
-                    }
-                    None => {
-                        let shape = IterationShape::new(batch.samples, batch.seq_len);
-                        let profile = fold.profile_shape(shape)?;
-                        gate.observe_measured(profile.seq_len, profile.stat(stat));
-                        merge.record_on_demand(profile);
-                    }
+                if let Some(profile) = merge.lookup(key) {
+                    gate.observe_replayed(profile.seq_len, profile.stat(stat));
+                    continue;
                 }
+                if !prefetched.contains_key(&key) {
+                    let ahead = batches.get(index..).unwrap_or_default();
+                    let misses = next_misses(ahead, &merge, &prefetched, self.options.round_len);
+                    let shapes: Vec<IterationShape> = misses
+                        .iter()
+                        .map(|&(seq_len, samples)| IterationShape::new(samples, seq_len))
+                        .collect();
+                    prefetched.extend(misses.into_iter().zip(fold.profile_shapes(&shapes)?));
+                }
+                let profile = prefetched
+                    .remove(&key)
+                    .ok_or_else(|| ProfileError::Executor {
+                        message: format!("no replay profile for shape {key:?}"),
+                    })?;
+                gate.observe_measured(profile.seq_len, profile.stat(stat));
+                merge.record_on_demand(profile);
             }
             merge.set_consumed(end);
             blocks_this_run += 1;
@@ -1320,7 +1395,6 @@ impl<'e, 'p, 'x, 'm> StreamGraph<'e, 'p, 'x, 'm> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::{Path, PathBuf};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::OnceLock;
     use std::time::Duration;
@@ -1333,7 +1407,8 @@ mod tests {
     use sqnn_data::{BatchPolicy, Corpus};
 
     use crate::stream::{profile_epoch_streaming, stream_fingerprint, ThreadExecutor};
-    use crate::Profiler;
+    use crate::test_support::{FlakyExecutor, TempCheckpoint};
+    use crate::{Profiler, StatKind};
 
     fn device() -> Device {
         Device::new(GpuConfig::vega_fe())
@@ -1362,29 +1437,6 @@ mod tests {
         }
     }
 
-    /// A unique, self-cleaning checkpoint path under the tmp dir.
-    struct TempCheckpoint(PathBuf);
-
-    impl TempCheckpoint {
-        fn new(tag: &str) -> Self {
-            let mut path = std::env::temp_dir();
-            path.push(format!("seqpoint-pipe-{}-{tag}.json", std::process::id()));
-            let _ = std::fs::remove_file(&path);
-            TempCheckpoint(path)
-        }
-
-        fn path(&self) -> &Path {
-            &self.0
-        }
-    }
-
-    impl Drop for TempCheckpoint {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_file(&self.0);
-            let _ = std::fs::remove_file(tmp_sibling(&self.0));
-        }
-    }
-
     #[test]
     fn stage_ids_are_dense_and_distinctly_labeled() {
         for (i, stage) in StageId::ALL.iter().enumerate() {
@@ -1403,7 +1455,7 @@ mod tests {
             StageSample {
                 items_in: 3,
                 items_out: 1,
-                wall_ms: 7,
+                wall_us: 7,
                 channel_depth: 3,
             },
         );
@@ -1412,14 +1464,14 @@ mod tests {
             StageSample {
                 items_in: 2,
                 items_out: 1,
-                wall_ms: 1,
+                wall_us: 1,
                 channel_depth: 1,
             },
         );
         let merge = meter.tally(StageId::Merge);
         assert_eq!(merge.items_in, 5);
         assert_eq!(merge.items_out, 2);
-        assert_eq!(merge.wall_ms, 8);
+        assert_eq!(merge.wall_us, 8);
         assert_eq!(merge.max_depth, 3, "high-water must survive lower samples");
         assert_eq!(merge.samples, 2);
         assert_eq!(meter.tally(StageId::Sink), StageTally::default());
@@ -1722,42 +1774,6 @@ mod tests {
         assert_eq!(meter.tally(StageId::Sink).samples, 3);
     }
 
-    /// Wraps the in-process executor and fails one `execute_round` call
-    /// (1-based `fail_on`; `0` never fails).
-    struct FlakyExecutor<'a> {
-        inner: ThreadExecutor<'a>,
-        calls: usize,
-        fail_on: usize,
-        tripped: bool,
-    }
-
-    impl RoundExecutor for FlakyExecutor<'_> {
-        fn execute_round(
-            &mut self,
-            chunks: &[ShardChunk],
-        ) -> Result<Vec<ShardReport>, ProfileError> {
-            self.calls += 1;
-            if !self.tripped && self.calls == self.fail_on {
-                self.tripped = true;
-                return Err(ProfileError::Executor {
-                    message: "injected shard loss".to_owned(),
-                });
-            }
-            self.inner.execute_round(chunks)
-        }
-
-        fn profile_shape(
-            &mut self,
-            shape: IterationShape,
-        ) -> Result<IterationProfile, ProfileError> {
-            self.inner.profile_shape(shape)
-        }
-
-        fn seed_shapes(&mut self, shapes: &[IterationProfile]) {
-            self.inner.seed_shapes(shapes);
-        }
-    }
-
     /// Assemble and run the canonical graph over `graph_workload`.
     fn run_graph(
         options: &StreamOptions,
@@ -1783,16 +1799,149 @@ mod tests {
             graph.run()
         };
         if fail_on > 0 {
-            let mut flaky = FlakyExecutor {
-                inner,
-                calls: 0,
-                fail_on,
-                tripped: false,
-            };
-            run(&mut flaky)
+            run(&mut FlakyExecutor::new(inner, fail_on))
         } else {
             let mut inner = inner;
             run(&mut inner)
+        }
+    }
+
+    /// A 6k-sentence epoch (375 batches) that stops after a few rounds
+    /// and leaves never-seen shapes to the replay phase.
+    fn replay_workload() -> (Network, EpochPlan) {
+        let corpus = Corpus::iwslt15_like(6_000, 13);
+        let plan = EpochPlan::new(&corpus, BatchPolicy::shuffled(16), 13).unwrap();
+        (gnmt_with(400, 48), plan)
+    }
+
+    /// Implements only the three required methods, so replay misses
+    /// take the trait's serial `profile_shapes` default.
+    struct SerialExecutor<'a>(ThreadExecutor<'a>);
+
+    impl RoundExecutor for SerialExecutor<'_> {
+        fn execute_round(
+            &mut self,
+            chunks: &[ShardChunk],
+        ) -> Result<Vec<ShardReport>, ProfileError> {
+            self.0.execute_round(chunks)
+        }
+
+        fn profile_shape(
+            &mut self,
+            shape: IterationShape,
+        ) -> Result<IterationProfile, ProfileError> {
+            self.0.profile_shape(shape)
+        }
+
+        fn seed_shapes(&mut self, shapes: &[IterationProfile]) {
+            self.0.seed_shapes(shapes);
+        }
+    }
+
+    #[test]
+    fn thread_executor_simulates_each_distinct_shape_once() {
+        let (net, plan) = replay_workload();
+        let device = device();
+        let profiler = Profiler::new();
+        // Every plan iteration is measured, replayed from a shape
+        // measured earlier, or a replay miss — so a complete run touches
+        // exactly the plan's distinct shapes.
+        let distinct: std::collections::HashSet<(u32, u32)> = plan
+            .batches()
+            .iter()
+            .map(|b| (b.seq_len, b.samples))
+            .collect();
+        let executor = |shards| {
+            ThreadExecutor::new(&profiler, &net, device.clone(), StatKind::Runtime, shards)
+        };
+        for shards in [1, 2, 3] {
+            let options = graph_options(shards);
+            let fingerprint = stream_fingerprint(&net, &plan, &device, &options);
+            let meter = TallyMeter::new();
+            let mut threads = executor(shards);
+            let outcome = StreamGraph::new(&mut threads, &plan, &options, fingerprint)
+                .with_meter(&meter)
+                .run()
+                .unwrap();
+            assert!(matches!(outcome, StreamOutcome::Complete(_)));
+            assert_eq!(
+                threads.shapes_simulated(),
+                distinct.len(),
+                "shards = {shards}"
+            );
+            let replay = meter.tally(StageId::Replay);
+            assert!(replay.items_in > 0, "the replay phase must see misses");
+            assert_eq!(replay.items_out, replay.items_in);
+            assert!(replay.wall_us > 0, "replay simulation must be metered");
+        }
+
+        // A resumed run is seeded with the checkpoint's shapes and
+        // simulates only the rest.
+        let options = graph_options(2);
+        let fingerprint = stream_fingerprint(&net, &plan, &device, &options);
+        let ckpt = TempCheckpoint::new("simulation-count");
+        let paused = StreamGraph::new(&mut executor(2), &plan, &options, fingerprint)
+            .with_checkpoint(&CheckpointOptions {
+                every_rounds: 1,
+                max_rounds: Some(2),
+                ..CheckpointOptions::new(ckpt.path())
+            })
+            .run()
+            .unwrap();
+        assert!(matches!(paused, StreamOutcome::Paused(_)));
+        let seeded = read_checkpoint(ckpt.path()).unwrap().shapes_profiled();
+        assert!(seeded > 0);
+        let mut resumed = executor(2);
+        let outcome = StreamGraph::new(&mut resumed, &plan, &options, fingerprint)
+            .with_checkpoint(&CheckpointOptions::new(ckpt.path()))
+            .run()
+            .unwrap();
+        assert!(matches!(outcome, StreamOutcome::Complete(_)));
+        assert_eq!(resumed.shapes_simulated(), distinct.len() - seeded);
+    }
+
+    #[test]
+    fn batched_and_serial_replay_write_identical_checkpoints() {
+        let (net, plan) = replay_workload();
+        let device = device();
+        let profiler = Profiler::new();
+        let options = graph_options(2);
+        let fingerprint = stream_fingerprint(&net, &plan, &device, &options);
+        // Run to completion under a `kill`-block budget, collecting the
+        // checkpoint bytes at every pause and at the end.
+        let run = |serial: bool, kill: u64| {
+            let ckpt = TempCheckpoint::new(&format!("parity-{serial}-{kill}"));
+            let policy = CheckpointOptions {
+                every_rounds: 1,
+                max_rounds: Some(kill),
+                ..CheckpointOptions::new(ckpt.path())
+            };
+            let mut snapshots = Vec::new();
+            for _ in 0..100 {
+                let threads = ThreadExecutor::new(&profiler, &net, device.clone(), options.stat, 2);
+                let outcome = if serial {
+                    StreamGraph::new(&mut SerialExecutor(threads), &plan, &options, fingerprint)
+                        .with_checkpoint(&policy)
+                        .run()
+                } else {
+                    let mut threads = threads;
+                    StreamGraph::new(&mut threads, &plan, &options, fingerprint)
+                        .with_checkpoint(&policy)
+                        .run()
+                };
+                snapshots.push(std::fs::read(ckpt.path()).unwrap());
+                if let StreamOutcome::Complete(profile) = outcome.unwrap() {
+                    return (snapshots, profile);
+                }
+            }
+            panic!("kill-and-resume never completed");
+        };
+        for kill in [1, 3, 5] {
+            let (batched, batched_profile) = run(false, kill);
+            let (serial, serial_profile) = run(true, kill);
+            assert!(batched.len() > 2, "kill {kill}: expected several pauses");
+            assert_eq!(batched_profile, serial_profile, "kill {kill}");
+            assert!(batched == serial, "kill {kill}: checkpoint bytes diverged");
         }
     }
 

@@ -4,10 +4,8 @@
 //! [`crate::Profiler::profile_epoch`] materializes the whole epoch in
 //! memory on one device. This module is the scalable counterpart: the
 //! epoch plan is consumed in rounds ([`sqnn_data::EpochPlan::rounds`]),
-//! each round's iterations are dealt round-robin to worker shards that
-//! profile concurrently on their own thread (one simulated device each,
-//! as in [`crate::parallel`]), and the per-shard
-//! [`OnlineSlTracker`] states are merged into a
+//! each round's iterations are dealt round-robin to shard chunks, and
+//! the per-shard [`OnlineSlTracker`] states are merged into a
 //! [`StreamingSelector`] after every round. The round loop is
 //! software-pipelined: while round N's reports merge (and its periodic
 //! checkpoint writes) on a helper thread, round N+1 is already
@@ -18,23 +16,27 @@
 //! consuming the rest of the plan as free shape metadata: an iteration
 //! whose `(seq_len, samples)` shape was already profiled is replayed
 //! against the recorded statistic (the paper's key observation 4 —
-//! identical shapes behave identically), and a never-seen shape is
-//! profiled on demand. Whole-epoch counts *and* per-SL statistic sums
-//! stay exact, so the selection matches the full-epoch path while only
-//! a fraction of the iterations were ever executed — and the full
-//! per-iteration epoch log never exists anywhere.
+//! identical shapes behave identically), and never-seen shapes are
+//! profiled on demand, up to a round's worth of them per executor call.
+//! Whole-epoch counts *and* per-SL statistic sums stay exact, so the
+//! selection matches the full-epoch path while only a fraction of the
+//! iterations were ever executed — and the full per-iteration epoch log
+//! never exists anywhere.
 //!
 //! # Placement abstraction
 //!
-//! *Where* a round's shard chunks execute is behind the
-//! [`RoundExecutor`] trait: [`ThreadExecutor`] runs one scoped thread
-//! per shard in this process (the classic `seqpoint stream` path), and
-//! `seqpoint_service` provides a subprocess implementation that ships
-//! each [`ShardChunk`] to a `seqpoint worker` process over a Unix
-//! socket and collects [`ShardReport`]s serialized in the checkpoint
-//! interchange format. Selection is executor independent: chunks are
-//! dealt by [`deal_round`]'s global round-robin rule and merged in
-//! shard order, so any two executors produce bit-identical selections.
+//! *Where* shapes are simulated is behind the [`RoundExecutor`] trait.
+//! [`ThreadExecutor`] keeps one shape memo per run and simulates each
+//! distinct shape once, spreading a round's (or a replay batch's)
+//! unseen shapes over up to `shards` scoped threads by estimated cost
+//! ([`balance_shapes`]) — the paper's observation that profiling
+//! independent iterations parallelizes (§VI-F). `seqpoint_service`
+//! provides a subprocess implementation that ships each [`ShardChunk`]
+//! to a `seqpoint worker` process over a socket and collects
+//! [`ShardReport`]s serialized in the checkpoint interchange format.
+//! Selection is executor independent: chunks are dealt by
+//! [`deal_round`]'s global round-robin rule and merged in shard order,
+//! so any two executors produce bit-identical selections.
 //!
 //! # Fault tolerance
 //!
@@ -54,8 +56,10 @@
 //! `<path>.tmp` sibling left by a crash between write and rename is
 //! removed on startup before the resume check.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
+use std::thread::ScopedJoinHandle;
 
 use gpu_sim::Device;
 use seqpoint_core::online::OnlineSlTracker;
@@ -73,7 +77,8 @@ pub struct StreamOptions {
     /// Worker shards profiling concurrently (≥ 1).
     pub shards: usize,
     /// Iterations ingested per round before the merged early-stop check
-    /// (≥ 1).
+    /// (≥ 1). Also the most never-seen shapes one replay-phase batch
+    /// simulates.
     pub round_len: usize,
     /// Which per-iteration statistic feeds the selection.
     pub stat: StatKind,
@@ -232,8 +237,8 @@ pub struct ShardReport {
 }
 
 /// Placement abstraction for the streaming harness: something that can
-/// execute one round's shard chunks and profile a single shape on
-/// demand. Implementations must be deterministic per shape — the same
+/// execute one round's shard chunks and profile shapes on demand.
+/// Implementations must be deterministic per shape — the same
 /// `(seq_len, samples)` must always produce the same profile — which
 /// holds for the simulated device and is what makes executor placement
 /// invisible to the selection.
@@ -257,6 +262,26 @@ pub trait RoundExecutor {
     /// complete the measurement.
     fn profile_shape(&mut self, shape: IterationShape) -> Result<IterationProfile, ProfileError>;
 
+    /// Profile several shapes, answering in input order
+    /// (`profiles[i]` answers `shapes[i]`). The replay phase batches its
+    /// misses through this call, so a placement that can simulate
+    /// shapes concurrently overrides it; the default profiles them one
+    /// at a time through [`Self::profile_shape`].
+    ///
+    /// # Errors
+    ///
+    /// [`ProfileError::Executor`] when the placement layer cannot
+    /// complete every measurement; one failure fails the batch.
+    fn profile_shapes(
+        &mut self,
+        shapes: &[IterationShape],
+    ) -> Result<Vec<IterationProfile>, ProfileError> {
+        shapes
+            .iter()
+            .map(|&shape| self.profile_shape(shape))
+            .collect()
+    }
+
     /// Seed already-profiled shapes (from a resumed checkpoint) into the
     /// executor's memo, so resuming avoids re-simulating them. Profiles
     /// are deterministic per shape, so ignoring the seeds changes cost
@@ -266,20 +291,25 @@ pub trait RoundExecutor {
     }
 }
 
-/// The in-process [`RoundExecutor`]: one scoped thread per shard, each
-/// with its own `(seq_len, samples)` profile memo, all on clones of one
-/// simulated device — exactly the placement `seqpoint stream` has always
-/// used.
+/// The in-process [`RoundExecutor`]: one `(seq_len, samples)` profile
+/// memo per run, and each distinct shape simulated exactly once on a
+/// clone of one simulated device. The unseen shapes of a round, or of a
+/// replay batch, are simulated together over up to `shards` scoped
+/// threads, balanced by estimated cost ([`balance_shapes`]). A round's
+/// chunks then fold on the calling thread as pure memo lookups, so the
+/// reports are exactly those of per-shard execution.
 pub struct ThreadExecutor<'a> {
     profiler: &'a Profiler,
     network: &'a Network,
     device: Device,
     stat: StatKind,
-    memos: Vec<HashMap<(u32, u32), IterationProfile>>,
+    shards: usize,
+    memo: HashMap<(u32, u32), IterationProfile>,
+    simulated: usize,
 }
 
 impl<'a> ThreadExecutor<'a> {
-    /// An executor running `shards` concurrent worker threads.
+    /// An executor running up to `shards` concurrent worker threads.
     pub fn new(
         profiler: &'a Profiler,
         network: &'a Network,
@@ -292,56 +322,163 @@ impl<'a> ThreadExecutor<'a> {
             network,
             device,
             stat,
-            memos: vec![HashMap::new(); shards.max(1)],
+            shards: shards.max(1),
+            memo: HashMap::new(),
+            simulated: 0,
         }
+    }
+
+    /// Shapes this executor has simulated so far (seeded shapes are not
+    /// simulated, so they do not count).
+    pub fn shapes_simulated(&self) -> usize {
+        self.simulated
+    }
+
+    /// Simulate every distinct shape of `shapes` the memo lacks, in
+    /// parallel, and add the profiles to the memo.
+    fn simulate_unseen(
+        &mut self,
+        shapes: impl IntoIterator<Item = IterationShape>,
+    ) -> Result<(), ProfileError> {
+        let mut queued = HashSet::new();
+        let unseen: Vec<IterationShape> = shapes
+            .into_iter()
+            .filter(|shape| {
+                let key = shape_key(shape);
+                !self.memo.contains_key(&key) && queued.insert(key)
+            })
+            .collect();
+        if unseen.is_empty() {
+            return Ok(());
+        }
+        let profiler = self.profiler;
+        let network = self.network;
+        let device = &self.device;
+        let bins = balance_shapes(&unseen, self.shards);
+        let per_bin = std::thread::scope(|scope| {
+            let handles: Vec<_> = bins
+                .iter()
+                .map(|bin| {
+                    let device = device.clone();
+                    let unseen = &unseen;
+                    scope.spawn(move || {
+                        bin.iter()
+                            .map(|&i| (i, profiler.profile_iteration(network, &unseen[i], &device)))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            // Join every handle before looking at any result: a panicked
+            // thread left unjoined would re-panic when the scope closes.
+            handles.into_iter().map(join_shard).collect::<Vec<_>>()
+        });
+        for bin in per_bin {
+            for (i, profile) in bin? {
+                self.memo.insert(shape_key(&unseen[i]), profile);
+                self.simulated += 1;
+            }
+        }
+        Ok(())
     }
 }
 
 impl RoundExecutor for ThreadExecutor<'_> {
     fn execute_round(&mut self, chunks: &[ShardChunk]) -> Result<Vec<ShardReport>, ProfileError> {
-        if chunks.len() != self.memos.len() {
-            return Err(ProfileError::Executor {
-                message: format!(
-                    "round has {} chunks but the executor holds {} shards",
-                    chunks.len(),
-                    self.memos.len()
-                ),
-            });
-        }
-        let profiler = self.profiler;
-        let network = self.network;
-        let device = &self.device;
-        let stat = self.stat;
-        let reports: Vec<ShardReport> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .memos
-                .iter_mut()
-                .zip(chunks)
-                .map(|(memo, chunk)| {
-                    let device = device.clone();
-                    scope
-                        .spawn(move || execute_chunk(profiler, network, &device, stat, memo, chunk))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("profiling shard panicked"))
-                .collect()
-        });
-        Ok(reports)
+        // Shape-first: simulate the round's unseen shapes once, across
+        // the threads, then fold each chunk from the memo.
+        self.simulate_unseen(
+            chunks
+                .iter()
+                .flat_map(|chunk| &chunk.batches)
+                .map(|b| IterationShape::new(b.samples, b.seq_len)),
+        )?;
+        Ok(chunks
+            .iter()
+            .map(|chunk| {
+                execute_chunk(
+                    self.profiler,
+                    self.network,
+                    &self.device,
+                    self.stat,
+                    &mut self.memo,
+                    chunk,
+                )
+            })
+            .collect())
     }
 
     fn profile_shape(&mut self, shape: IterationShape) -> Result<IterationProfile, ProfileError> {
-        Ok(self
-            .profiler
-            .profile_iteration(self.network, &shape, &self.device))
+        let mut profiles = self.profile_shapes(&[shape])?;
+        profiles.pop().ok_or_else(|| ProfileError::Executor {
+            message: "no profile for the requested shape".to_owned(),
+        })
+    }
+
+    fn profile_shapes(
+        &mut self,
+        shapes: &[IterationShape],
+    ) -> Result<Vec<IterationProfile>, ProfileError> {
+        self.simulate_unseen(shapes.iter().copied())?;
+        shapes
+            .iter()
+            .map(|shape| {
+                self.memo
+                    .get(&shape_key(shape))
+                    .cloned()
+                    .ok_or_else(|| ProfileError::Executor {
+                        message: "a simulated shape is missing from the memo".to_owned(),
+                    })
+            })
+            .collect()
     }
 
     fn seed_shapes(&mut self, shapes: &[IterationProfile]) {
-        for memo in &mut self.memos {
-            memo.extend(shapes.iter().map(|p| ((p.seq_len, p.samples), p.clone())));
-        }
+        self.memo
+            .extend(shapes.iter().map(|p| ((p.seq_len, p.samples), p.clone())));
     }
+}
+
+/// The `(seq_len, samples)` memo key of a shape.
+fn shape_key(shape: &IterationShape) -> (u32, u32) {
+    (shape.src_len, shape.batch)
+}
+
+/// Join one profiling thread, turning a panic into
+/// [`ProfileError::Executor`] so a crashed shard fails the round (which
+/// the caller may retry from its last checkpoint) instead of the
+/// process.
+pub(crate) fn join_shard<T>(handle: ScopedJoinHandle<'_, T>) -> Result<T, ProfileError> {
+    handle.join().map_err(|payload| {
+        let reason = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_owned())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "unknown panic payload".to_owned());
+        ProfileError::Executor {
+            message: format!("profiling shard panicked: {reason}"),
+        }
+    })
+}
+
+/// Longest-first assignment of `shapes` to at most `bins` workers by
+/// estimated cost, `seq_len × samples`: each shape, most expensive
+/// first, goes to the least-loaded worker so far (ties keep input
+/// order and the lowest worker index). Returns, per worker, the indices
+/// into `shapes` it simulates; no worker is left empty.
+pub fn balance_shapes(shapes: &[IterationShape], bins: usize) -> Vec<Vec<usize>> {
+    let bins = bins.clamp(1, shapes.len().max(1));
+    let cost = |i: usize| u64::from(shapes[i].src_len) * u64::from(shapes[i].batch);
+    let mut order: Vec<usize> = (0..shapes.len()).collect();
+    order.sort_by_key(|&i| Reverse(cost(i)));
+    let mut plan: Vec<Vec<usize>> = vec![Vec::new(); bins];
+    let mut load = vec![0u64; bins];
+    for i in order {
+        let lightest = (0..bins).min_by_key(|&b| load[b]).unwrap_or(0);
+        load[lightest] += cost(i);
+        plan[lightest].push(i);
+    }
+    plan.retain(|bin| !bin.is_empty());
+    plan
 }
 
 /// Profile one shard chunk against a memo: the shared leaf both the
@@ -486,7 +623,7 @@ pub(crate) fn read_checkpoint(path: &Path) -> Result<StreamCheckpoint, ProfileEr
 /// `plan.shard(s, shards)`), and the union measured after `r` rounds is
 /// the plan's first `r * round_len` iterations regardless of the shard
 /// count — sharded and unsharded runs select the same SeqPoints.
-/// Per-shard `(seq_len, samples)` memoization mirrors
+/// Per-run `(seq_len, samples)` memoization mirrors
 /// [`Profiler::profile_epoch`]; memoized iterations still charge their
 /// full simulated runtime to the profiling cost, as the paper does.
 ///
@@ -607,6 +744,7 @@ pub fn profile_epoch_streaming_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::{FlakyExecutor, TempCheckpoint};
     use gpu_sim::GpuConfig;
     use seqpoint_core::SeqPointPipeline;
     use sqnn::models::gnmt_with;
@@ -631,27 +769,37 @@ mod tests {
         (gnmt_with(400, 48), plan)
     }
 
-    /// A unique, self-cleaning checkpoint path under the target tmp dir.
-    struct TempCheckpoint(PathBuf);
-
-    impl TempCheckpoint {
-        fn new(tag: &str) -> Self {
-            let mut path = std::env::temp_dir();
-            path.push(format!("seqpoint-ckpt-{}-{tag}.json", std::process::id()));
-            let _ = std::fs::remove_file(&path);
-            TempCheckpoint(path)
-        }
-
-        fn path(&self) -> &Path {
-            &self.0
-        }
+    #[test]
+    fn a_panicking_shard_becomes_an_executor_error() {
+        let joined: Vec<Result<u32, ProfileError>> = std::thread::scope(|scope| {
+            let handles = vec![
+                scope.spawn(|| 7),
+                scope.spawn(|| -> u32 { panic!("simulator blew up") }),
+            ];
+            handles.into_iter().map(join_shard).collect()
+        });
+        assert_eq!(joined[0], Ok(7));
+        assert!(
+            matches!(&joined[1], Err(ProfileError::Executor { message })
+                if message.contains("simulator blew up")),
+            "{:?}",
+            joined[1]
+        );
     }
 
-    impl Drop for TempCheckpoint {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_file(&self.0);
-            let _ = std::fs::remove_file(tmp_sibling(&self.0));
-        }
+    #[test]
+    fn balance_shapes_assigns_longest_first_to_the_lightest_bin() {
+        let shapes: Vec<IterationShape> = [(16, 10), (16, 40), (16, 20), (16, 30), (8, 10)]
+            .iter()
+            .map(|&(batch, seq_len)| IterationShape::new(batch, seq_len))
+            .collect();
+        // Costs 160, 640, 320, 480, 80: 640 → bin 0, 480 → bin 1,
+        // 320 → bin 1 (800), 160 → bin 0 (800), 80 → bin 0 (tie, lower).
+        assert_eq!(balance_shapes(&shapes, 2), vec![vec![1, 0, 4], vec![3, 2]]);
+        // Never more bins than shapes, never an empty bin.
+        assert_eq!(balance_shapes(&shapes[..2], 4), vec![vec![1], vec![0]]);
+        assert_eq!(balance_shapes(&shapes, 1), vec![vec![1, 3, 2, 0, 4]]);
+        assert!(balance_shapes(&[], 3).is_empty());
     }
 
     #[test]
@@ -1265,40 +1413,6 @@ mod tests {
         }
     }
 
-    /// A [`ThreadExecutor`] wrapper that loses its workers on the
-    /// `fail_on`-th round.
-    struct FlakyExecutor<'a> {
-        inner: ThreadExecutor<'a>,
-        calls: u32,
-        fail_on: u32,
-    }
-
-    impl RoundExecutor for FlakyExecutor<'_> {
-        fn execute_round(
-            &mut self,
-            chunks: &[ShardChunk],
-        ) -> Result<Vec<ShardReport>, ProfileError> {
-            self.calls += 1;
-            if self.calls == self.fail_on {
-                return Err(ProfileError::Executor {
-                    message: "injected worker loss".to_owned(),
-                });
-            }
-            self.inner.execute_round(chunks)
-        }
-
-        fn profile_shape(
-            &mut self,
-            shape: IterationShape,
-        ) -> Result<IterationProfile, ProfileError> {
-            self.inner.profile_shape(shape)
-        }
-
-        fn seed_shapes(&mut self, shapes: &[IterationProfile]) {
-            self.inner.seed_shapes(shapes);
-        }
-    }
-
     #[test]
     fn every_round_boundary_discards_the_speculative_round_and_replays_it() {
         // A 6k-sentence epoch saturates in a handful of rounds, keeping
@@ -1403,16 +1517,17 @@ mod tests {
         let fingerprint = stream_fingerprint(&net, &plan, &device, &options);
         let uninterrupted =
             profile_epoch_streaming(&profiler, &net, &plan, &device, &options).unwrap();
-        let executor = |fail_on| FlakyExecutor {
-            inner: ThreadExecutor::new(
-                &profiler,
-                &net,
-                device.clone(),
-                options.stat,
-                options.shards,
-            ),
-            calls: 0,
-            fail_on,
+        let executor = |fail_on| {
+            FlakyExecutor::new(
+                ThreadExecutor::new(
+                    &profiler,
+                    &net,
+                    device.clone(),
+                    options.stat,
+                    options.shards,
+                ),
+                fail_on,
+            )
         };
 
         // With a 2-round budget the 3rd round is still speculative at

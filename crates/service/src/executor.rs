@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 use seqpoint_core::online::OnlineSlTracker;
 use seqpoint_core::protocol::{decode_frame, encode_frame, WorkerReply, WorkerTask};
 use sqnn::IterationShape;
-use sqnn_profiler::stream::{RoundExecutor, ShardChunk, ShardReport};
+use sqnn_profiler::stream::{balance_shapes, RoundExecutor, ShardChunk, ShardReport};
 use sqnn_profiler::{IterationProfile, ProfileError};
 
 use crate::metrics::MetricsRegistry;
@@ -280,25 +280,30 @@ fn executor_error(message: impl Into<String>) -> ProfileError {
 /// the `ShardFold` stage's placement: workers are leased when the fold
 /// runs a round and released when its reports are collected, so the
 /// scheduler's per-round lease points sit exactly at the fold stage
-/// boundary — never across a merge, gate, or checkpoint write.
+/// boundary — never across a merge, gate, or checkpoint write. A
+/// replay-phase miss batch is one lease too: its `Profile` frames are
+/// pipelined over up to `shards` leased workers.
 pub struct SubprocessExecutor<'p> {
     pool: &'p WorkerPool,
     job: String,
     model: String,
     config: u32,
     stat: &'static str,
+    shards: usize,
     acquire_timeout: Duration,
 }
 
 impl<'p> SubprocessExecutor<'p> {
     /// An executor for one job's rounds; `job` names the lease holder
-    /// in the [`WorkerTask::Lease`] frames sent to leased workers.
+    /// in the [`WorkerTask::Lease`] frames sent to leased workers, and
+    /// replay miss batches spread over up to `shards` workers.
     pub fn new(
         pool: &'p WorkerPool,
         job: impl Into<String>,
         model: impl Into<String>,
         config: u32,
         stat: &'static str,
+        shards: usize,
     ) -> Self {
         SubprocessExecutor {
             pool,
@@ -306,6 +311,7 @@ impl<'p> SubprocessExecutor<'p> {
             model: model.into(),
             config,
             stat,
+            shards: shards.max(1),
             acquire_timeout: Duration::from_secs(30),
         }
     }
@@ -320,6 +326,30 @@ impl<'p> SubprocessExecutor<'p> {
         self.pool
             .lease(want, self.acquire_timeout, &self.job)
             .ok_or_else(|| executor_error("no workers available (pool drained or lost)"))
+    }
+
+    fn profile_task(&self, shape: IterationShape) -> WorkerTask {
+        WorkerTask::Profile {
+            model: self.model.clone(),
+            config: self.config,
+            seq_len: shape.src_len,
+            samples: shape.batch,
+        }
+    }
+}
+
+/// Read one `Profile` reply from a worker.
+fn recv_profile(conn: &mut WorkerConn) -> Result<IterationProfile, ProfileError> {
+    match conn
+        .recv()
+        .map_err(|e| executor_error(format!("collecting profile reply: {e}")))?
+    {
+        WorkerReply::Profile { profile } => serde::json::from_str(&profile)
+            .map_err(|e| executor_error(format!("bad profile payload: {e}"))),
+        WorkerReply::Error { reason } => {
+            Err(executor_error(format!("worker rejected task: {reason}")))
+        }
+        WorkerReply::Round { .. } => Err(executor_error("unexpected round reply")),
     }
 }
 
@@ -417,35 +447,52 @@ impl RoundExecutor for SubprocessExecutor<'_> {
     }
 
     fn profile_shape(&mut self, shape: IterationShape) -> Result<IterationProfile, ProfileError> {
-        let mut conns = self.acquire(1)?;
-        let Some(conn) = conns.first_mut() else {
-            return Err(executor_error("no worker acquired for the profile task"));
-        };
-        let task = WorkerTask::Profile {
-            model: self.model.clone(),
-            config: self.config,
-            seq_len: shape.src_len,
-            samples: shape.batch,
-        };
-        let result = (|| -> Result<IterationProfile, ProfileError> {
-            conn.send(&task)
-                .map_err(|e| executor_error(format!("sending profile task: {e}")))?;
-            match conn
-                .recv()
-                .map_err(|e| executor_error(format!("collecting profile reply: {e}")))?
-            {
-                WorkerReply::Profile { profile } => serde::json::from_str(&profile)
-                    .map_err(|e| executor_error(format!("bad profile payload: {e}"))),
-                WorkerReply::Error { reason } => {
-                    Err(executor_error(format!("worker rejected task: {reason}")))
+        self.profile_shapes(&[shape])?
+            .pop()
+            .ok_or_else(|| executor_error("no profile reply"))
+    }
+
+    fn profile_shapes(
+        &mut self,
+        shapes: &[IterationShape],
+    ) -> Result<Vec<IterationProfile>, ProfileError> {
+        if shapes.is_empty() {
+            return Ok(Vec::new());
+        }
+        let mut conns = self.acquire(self.shards.min(shapes.len()))?;
+        // Longest-first over the leased workers; every frame is sent
+        // before any reply is read, and each worker answers its frames
+        // FIFO. One failure poisons the batch and every acquired
+        // connection, exactly as in `execute_round`.
+        let bins = balance_shapes(shapes, conns.len());
+        let result = (|| -> Result<Vec<IterationProfile>, ProfileError> {
+            for (bin, conn) in bins.iter().zip(conns.iter_mut()) {
+                for &i in bin {
+                    let shape = shapes
+                        .get(i)
+                        .ok_or_else(|| executor_error("shape index out of range"))?;
+                    conn.send(&self.profile_task(*shape))
+                        .map_err(|e| executor_error(format!("sending profile task: {e}")))?;
                 }
-                WorkerReply::Round { .. } => Err(executor_error("unexpected round reply")),
             }
+            let mut profiles: Vec<Option<IterationProfile>> = vec![None; shapes.len()];
+            for (bin, conn) in bins.iter().zip(conns.iter_mut()) {
+                for &i in bin {
+                    let profile = recv_profile(conn)?;
+                    if let Some(slot) = profiles.get_mut(i) {
+                        *slot = Some(profile);
+                    }
+                }
+            }
+            profiles
+                .into_iter()
+                .map(|p| p.ok_or_else(|| executor_error("a shape went unanswered")))
+                .collect()
         })();
         match result {
-            Ok(profile) => {
+            Ok(profiles) => {
                 self.pool.release(conns);
-                Ok(profile)
+                Ok(profiles)
             }
             Err(e) => {
                 drop(conns);
@@ -496,6 +543,13 @@ impl RoundExecutor for ThrottledExecutor<'_> {
         self.inner.profile_shape(shape)
     }
 
+    fn profile_shapes(
+        &mut self,
+        shapes: &[IterationShape],
+    ) -> Result<Vec<IterationProfile>, ProfileError> {
+        self.inner.profile_shapes(shapes)
+    }
+
     fn seed_shapes(&mut self, shapes: &[IterationProfile]) {
         self.inner.seed_shapes(shapes);
     }
@@ -504,6 +558,115 @@ impl RoundExecutor for ThrottledExecutor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::os::unix::net::UnixStream;
+
+    /// A stand-in `seqpoint worker` that answers `Profile` frames FIFO
+    /// with a profile naming the shape, rejecting `seq_len == reject`.
+    /// Returns how many frames it answered once the server hangs up.
+    fn fake_worker(stream: UnixStream, reject: u32) -> std::thread::JoinHandle<usize> {
+        std::thread::spawn(move || {
+            let mut writer = stream.try_clone().unwrap();
+            let mut reader = BufReader::new(stream);
+            let mut answered = 0;
+            let mut line = String::new();
+            while reader.read_line(&mut line).unwrap_or(0) > 0 {
+                let task: WorkerTask = decode_frame(&line).unwrap();
+                line.clear();
+                let WorkerTask::Profile {
+                    seq_len, samples, ..
+                } = task
+                else {
+                    continue; // the lease frame is not answered
+                };
+                let reply = if seq_len == reject {
+                    WorkerReply::Error {
+                        reason: "rejected".to_owned(),
+                    }
+                } else {
+                    let profile = IterationProfile {
+                        seq_len,
+                        samples,
+                        time_s: f64::from(seq_len),
+                        counters: Default::default(),
+                        energy_j: 0.0,
+                        launches: 0,
+                        trace: None,
+                    };
+                    WorkerReply::Profile {
+                        profile: serde::json::to_string(&profile).unwrap(),
+                    }
+                };
+                let mut frame = encode_frame(&reply);
+                frame.push('\n');
+                if writer.write_all(frame.as_bytes()).is_err() {
+                    break;
+                }
+                answered += 1;
+            }
+            answered
+        })
+    }
+
+    fn fleet(rejects: &[u32]) -> (WorkerPool, Vec<std::thread::JoinHandle<usize>>) {
+        let pool = WorkerPool::new();
+        let workers = rejects
+            .iter()
+            .zip(1..)
+            .map(|(&reject, pid)| {
+                let (server, worker) = UnixStream::pair().unwrap();
+                assert!(pool.register(Stream::from(server), pid));
+                fake_worker(worker, reject)
+            })
+            .collect();
+        (pool, workers)
+    }
+
+    #[test]
+    fn profile_batches_pipeline_over_leased_workers_in_input_order() {
+        let shapes: Vec<IterationShape> = [(16, 10), (16, 40), (8, 20), (16, 30)]
+            .iter()
+            .map(|&(batch, seq_len)| IterationShape::new(batch, seq_len))
+            .collect();
+        let expected: Vec<(u32, u32)> = shapes.iter().map(|s| (s.src_len, s.batch)).collect();
+
+        // Three shards wanted, two workers registered: both are leased
+        // once, each answers its share, and the answers come back in
+        // input order.
+        let (pool, workers) = fleet(&[0, 0]);
+        let profiles = SubprocessExecutor::new(&pool, "job", "gnmt", 1, "runtime", 3)
+            .profile_shapes(&shapes)
+            .unwrap();
+        let answered: Vec<(u32, u32)> = profiles.iter().map(|p| (p.seq_len, p.samples)).collect();
+        assert_eq!(answered, expected);
+        assert_eq!(pool.fleet_stats(), (2, 0), "one lease per worker");
+        assert_eq!(
+            pool.idle_pids().len(),
+            2,
+            "a good batch releases its workers"
+        );
+        pool.drain();
+        let per_worker: Vec<usize> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+        assert_eq!(per_worker.iter().sum::<usize>(), shapes.len());
+        assert!(per_worker.iter().all(|&n| n > 0), "{per_worker:?}");
+
+        // One rejected shape poisons the batch and every connection it
+        // leased.
+        let (pool, workers) = fleet(&[40, 0]);
+        let err = SubprocessExecutor::new(&pool, "job", "gnmt", 1, "runtime", 2)
+            .profile_shapes(&shapes)
+            .unwrap_err();
+        assert!(
+            matches!(&err, ProfileError::Executor { message } if message.contains("rejected")),
+            "{err:?}"
+        );
+        assert!(
+            pool.idle_pids().is_empty(),
+            "a poisoned batch closes its workers"
+        );
+        for worker in workers {
+            worker.join().unwrap();
+        }
+    }
 
     #[test]
     fn acquire_times_out_on_an_empty_pool() {

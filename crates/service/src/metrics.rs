@@ -239,7 +239,7 @@ pub const CATALOG: &[MetricDef] = &[
     counter(
         "seqpoint_stage_wall_ms_total",
         "stage",
-        "Wall milliseconds spent per streaming-pipeline stage.",
+        "Wall milliseconds (microsecond resolution) spent per streaming-pipeline stage.",
     ),
     gauge(
         "seqpoint_stage_channel_depth",
@@ -466,7 +466,8 @@ impl ClassCounters {
 struct StageCounters {
     items_in: AtomicU64,
     items_out: AtomicU64,
-    wall_ms: AtomicU64,
+    /// Recorded in microseconds; exported in (fractional) milliseconds.
+    wall_us: AtomicU64,
     /// High-water input-channel depth (backpressure indicator).
     depth: AtomicU64,
 }
@@ -523,7 +524,7 @@ pub struct MetricsRegistry {
     round_wall_ms_total: AtomicU64,
     round_wall_ms_last: AtomicU64,
     items_total: AtomicU64,
-    stages: [StageCounters; 5],
+    stages: [StageCounters; StageId::ALL.len()],
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     cache_followers: AtomicU64,
@@ -755,14 +756,14 @@ impl MetricsRegistry {
                     );
                 }
             };
-            let by_stage = |out: &mut String, pick: fn(&StageCounters) -> &AtomicU64| {
+            let by_stage = |out: &mut String, value: fn(&StageCounters) -> String| {
                 for (stage, slot) in StageId::ALL.iter().zip(&self.stages) {
                     let _ = writeln!(
                         out,
                         "{}{{stage=\"{}\"}} {}",
                         def.name,
                         stage.label(),
-                        load(pick(slot))
+                        value(slot)
                     );
                 }
             };
@@ -820,10 +821,22 @@ impl MetricsRegistry {
                 }
                 "seqpoint_round_wall_ms_last" => plain(&mut out, load(&self.round_wall_ms_last)),
                 "seqpoint_items_total" => plain(&mut out, load(&self.items_total)),
-                "seqpoint_stage_items_in_total" => by_stage(&mut out, |s| &s.items_in),
-                "seqpoint_stage_items_out_total" => by_stage(&mut out, |s| &s.items_out),
-                "seqpoint_stage_wall_ms_total" => by_stage(&mut out, |s| &s.wall_ms),
-                "seqpoint_stage_channel_depth" => by_stage(&mut out, |s| &s.depth),
+                "seqpoint_stage_items_in_total" => {
+                    by_stage(&mut out, |s| s.items_in.load(Ordering::Relaxed).to_string());
+                }
+                "seqpoint_stage_items_out_total" => {
+                    by_stage(&mut out, |s| {
+                        s.items_out.load(Ordering::Relaxed).to_string()
+                    });
+                }
+                "seqpoint_stage_wall_ms_total" => {
+                    by_stage(&mut out, |s| {
+                        (s.wall_us.load(Ordering::Relaxed) as f64 / 1000.0).to_string()
+                    });
+                }
+                "seqpoint_stage_channel_depth" => {
+                    by_stage(&mut out, |s| s.depth.load(Ordering::Relaxed).to_string());
+                }
                 "seqpoint_queue_depth" => by_class(&mut out, |c| &c.queue_depth),
                 "seqpoint_queue_wait_ms_total" => by_class(&mut out, |c| &c.queue_wait_ms_total),
                 "seqpoint_queue_dequeued_total" => by_class(&mut out, |c| &c.dequeued_total),
@@ -866,7 +879,7 @@ impl MetricsRegistry {
 
 /// The registry doubles as the streaming pipeline's per-stage meter:
 /// `run_job` attaches it at operator construction, so every served
-/// round's source/fold/merge/gate/sink work lands in the `stage`-labeled
+/// job's source/fold/merge/gate/sink/replay work lands in the `stage`-labeled
 /// families — atomic adds only, preserving the hot-path-cost rule.
 impl StageMeter for MetricsRegistry {
     fn record(&self, stage: StageId, sample: StageSample) {
@@ -874,7 +887,7 @@ impl StageMeter for MetricsRegistry {
             slot.items_in.fetch_add(sample.items_in, Ordering::Relaxed);
             slot.items_out
                 .fetch_add(sample.items_out, Ordering::Relaxed);
-            slot.wall_ms.fetch_add(sample.wall_ms, Ordering::Relaxed);
+            slot.wall_us.fetch_add(sample.wall_us, Ordering::Relaxed);
             slot.depth
                 .fetch_max(sample.channel_depth, Ordering::Relaxed);
         }
@@ -985,7 +998,7 @@ mod tests {
             StageSample {
                 items_in: 64,
                 items_out: 3,
-                wall_ms: 9,
+                wall_us: 9_000,
                 channel_depth: 0,
             },
         );
@@ -1003,7 +1016,7 @@ mod tests {
             StageSample {
                 items_in: 4,
                 items_out: 1,
-                wall_ms: 2,
+                wall_us: 2_250,
                 channel_depth: 0,
             },
         );
@@ -1012,7 +1025,7 @@ mod tests {
             StageSample {
                 items_in: 0,
                 items_out: 0,
-                wall_ms: 0,
+                wall_us: 0,
                 channel_depth: 1,
             },
         );
@@ -1022,17 +1035,20 @@ mod tests {
             StageSample {
                 items_in: 4,
                 items_out: 1,
-                wall_ms: 1,
+                wall_us: 1_000,
                 channel_depth: 0,
             },
         );
         let text = registry.render(&RenderGauges::default());
         assert!(text.contains("seqpoint_stage_items_in_total{stage=\"merge\"} 8"));
         assert!(text.contains("seqpoint_stage_items_out_total{stage=\"merge\"} 2"));
-        assert!(text.contains("seqpoint_stage_wall_ms_total{stage=\"merge\"} 3"));
+        // Wall time is kept in microseconds and exported as fractional
+        // milliseconds, so sub-millisecond stage work is not lost.
+        assert!(text.contains("seqpoint_stage_wall_ms_total{stage=\"merge\"} 3.25\n"));
         assert!(text.contains("seqpoint_stage_channel_depth{stage=\"merge\"} 1"));
         // Idle stages still expose their series at zero.
         assert!(text.contains("seqpoint_stage_items_in_total{stage=\"sink\"} 0"));
+        assert!(text.contains("seqpoint_stage_wall_ms_total{stage=\"replay\"} 0\n"));
     }
 
     /// Every catalog entry must produce at least one sample line when

@@ -1139,7 +1139,7 @@ fn run_job(shared: &Arc<Shared>, id: &str) {
         };
         // One canonical operator-graph assembly per attempt, with the
         // shared registry attached as the per-stage meter: source/fold/
-        // merge/gate/sink items, wall time, and channel backpressure
+        // merge/gate/sink/replay items, wall time, and channel backpressure
         // land in the `stage`-labeled scrape families.
         let assemble = |executor: &mut dyn RoundExecutor| {
             StreamGraph::new(executor, &resolved.plan, &resolved.options, fingerprint)
@@ -1175,6 +1175,7 @@ fn run_job(shared: &Arc<Shared>, id: &str) {
                 spec.model.clone(),
                 spec.config,
                 resolved.options.stat.label(),
+                resolved.options.shards,
             );
             run(&mut executor)
         }
@@ -1299,6 +1300,13 @@ impl RoundExecutor for MeteredExecutor<'_> {
 
     fn profile_shape(&mut self, shape: IterationShape) -> Result<IterationProfile, ProfileError> {
         self.inner.profile_shape(shape)
+    }
+
+    fn profile_shapes(
+        &mut self,
+        shapes: &[IterationShape],
+    ) -> Result<Vec<IterationProfile>, ProfileError> {
+        self.inner.profile_shapes(shapes)
     }
 
     fn seed_shapes(&mut self, shapes: &[IterationProfile]) {

@@ -83,13 +83,22 @@ fn fetch_metrics(client: &mut Client) -> String {
 /// The value of one series: `series` is the full sample name including
 /// any label set (`seqpoint_queue_depth{class="interactive"}`).
 fn metric(text: &str, series: &str) -> u64 {
+    sample(text, series).parse().unwrap()
+}
+
+/// A fractional-millisecond series (the stage wall-time family).
+fn metric_ms(text: &str, series: &str) -> f64 {
+    sample(text, series).parse().unwrap()
+}
+
+fn sample<'t>(text: &'t str, series: &str) -> &'t str {
     for line in text.lines() {
         if line.starts_with('#') {
             continue;
         }
         if let Some(rest) = line.strip_prefix(series) {
             if let Some(value) = rest.strip_prefix(' ') {
-                return value.trim().parse().unwrap();
+                return value.trim();
             }
         }
     }
@@ -144,9 +153,11 @@ fn counters_are_monotone_across_a_served_job() {
             "{series} did not move across a served job"
         );
     }
+    // Stage wall time is recorded at microsecond resolution, so even a
+    // small served job's fold adds a fractional, non-zero amount.
     assert!(
-        metric(&after, "seqpoint_stage_wall_ms_total{stage=\"fold\"}")
-            >= metric(&before, "seqpoint_stage_wall_ms_total{stage=\"fold\"}")
+        metric_ms(&after, "seqpoint_stage_wall_ms_total{stage=\"fold\"}")
+            > metric_ms(&before, "seqpoint_stage_wall_ms_total{stage=\"fold\"}")
     );
 
     // Counters never move backwards, whatever else the daemon did.
