@@ -28,9 +28,10 @@
 //! *Where* shapes are simulated is behind the [`RoundExecutor`] trait.
 //! [`ThreadExecutor`] keeps one shape memo per run and simulates each
 //! distinct shape once, spreading a round's (or a replay batch's)
-//! unseen shapes over up to `shards` scoped threads by estimated cost
-//! ([`balance_shapes`]) — the paper's observation that profiling
-//! independent iterations parallelizes (§VI-F). `seqpoint_service`
+//! unseen shapes over up to `shards` scoped threads that take them,
+//! most expensive first, from one shared queue — the
+//! paper's observation that profiling independent iterations
+//! parallelizes (§VI-F). `seqpoint_service`
 //! provides a subprocess implementation that ships each [`ShardChunk`]
 //! to a `seqpoint worker` process over a socket and collects
 //! [`ShardReport`]s serialized in the checkpoint interchange format.
@@ -59,6 +60,7 @@
 use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread::ScopedJoinHandle;
 
 use gpu_sim::Device;
@@ -295,7 +297,8 @@ pub trait RoundExecutor {
 /// memo per run, and each distinct shape simulated exactly once on a
 /// clone of one simulated device. The unseen shapes of a round, or of a
 /// replay batch, are simulated together over up to `shards` scoped
-/// threads, balanced by estimated cost ([`balance_shapes`]). A round's
+/// threads, each taking the next shape, most expensive first, from one
+/// shared queue whenever it finishes one. A round's
 /// chunks then fold on the calling thread as pure memo lookups, so the
 /// reports are exactly those of per-shard execution.
 pub struct ThreadExecutor<'a> {
@@ -354,17 +357,21 @@ impl<'a> ThreadExecutor<'a> {
         let profiler = self.profiler;
         let network = self.network;
         let device = &self.device;
-        let bins = balance_shapes(&unseen, self.shards);
-        let per_bin = std::thread::scope(|scope| {
-            let handles: Vec<_> = bins
-                .iter()
-                .map(|bin| {
+        let queue = ShapeQueue::new(&unseen);
+        let per_thread = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..self.shards.min(unseen.len()))
+                .map(|_| {
                     let device = device.clone();
-                    let unseen = &unseen;
+                    let (unseen, queue) = (&unseen, &queue);
                     scope.spawn(move || {
-                        bin.iter()
-                            .map(|&i| (i, profiler.profile_iteration(network, &unseen[i], &device)))
-                            .collect::<Vec<_>>()
+                        let mut done = Vec::new();
+                        while let Some(i) = queue.next() {
+                            done.push((
+                                i,
+                                profiler.profile_iteration(network, &unseen[i], &device),
+                            ));
+                        }
+                        done
                     })
                 })
                 .collect();
@@ -372,8 +379,8 @@ impl<'a> ThreadExecutor<'a> {
             // thread left unjoined would re-panic when the scope closes.
             handles.into_iter().map(join_shard).collect::<Vec<_>>()
         });
-        for bin in per_bin {
-            for (i, profile) in bin? {
+        for done in per_thread {
+            for (i, profile) in done? {
                 self.memo.insert(shape_key(&unseen[i]), profile);
                 self.simulated += 1;
             }
@@ -460,25 +467,41 @@ pub(crate) fn join_shard<T>(handle: ScopedJoinHandle<'_, T>) -> Result<T, Profil
     })
 }
 
-/// Longest-first assignment of `shapes` to at most `bins` workers by
-/// estimated cost, `seq_len × samples`: each shape, most expensive
-/// first, goes to the least-loaded worker so far (ties keep input
-/// order and the lowest worker index). Returns, per worker, the indices
-/// into `shapes` it simulates; no worker is left empty.
-pub fn balance_shapes(shapes: &[IterationShape], bins: usize) -> Vec<Vec<usize>> {
-    let bins = bins.clamp(1, shapes.len().max(1));
-    let cost = |i: usize| u64::from(shapes[i].src_len) * u64::from(shapes[i].batch);
+/// The order a batch of shapes is handed out in: most expensive first
+/// by estimated cost, `seq_len × samples`, ties in input order.
+fn longest_first(shapes: &[IterationShape]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..shapes.len()).collect();
-    order.sort_by_key(|&i| Reverse(cost(i)));
-    let mut plan: Vec<Vec<usize>> = vec![Vec::new(); bins];
-    let mut load = vec![0u64; bins];
-    for i in order {
-        let lightest = (0..bins).min_by_key(|&b| load[b]).unwrap_or(0);
-        load[lightest] += cost(i);
-        plan[lightest].push(i);
+    order.sort_by_key(|&i| Reverse(u64::from(shapes[i].src_len) * u64::from(shapes[i].batch)));
+    order
+}
+
+/// A batch's shapes, shared by the threads that simulate it: each
+/// [`ShapeQueue::next`] hands out the next index of [`longest_first`]
+/// order, exactly once across all threads. A thread takes the next
+/// shape whenever it finishes one, so a long shape starts early, and a
+/// thread that is slowed down (descheduled, or handed the longer
+/// shapes) leaves the rest of the batch to the others instead of
+/// holding it up.
+struct ShapeQueue {
+    order: Vec<usize>,
+    next: AtomicUsize,
+}
+
+impl ShapeQueue {
+    fn new(shapes: &[IterationShape]) -> Self {
+        ShapeQueue {
+            order: longest_first(shapes),
+            next: AtomicUsize::new(0),
+        }
     }
-    plan.retain(|bin| !bin.is_empty());
-    plan
+
+    /// The index into the batch of the next shape to simulate, or
+    /// `None` once every shape is handed out.
+    fn next(&self) -> Option<usize> {
+        self.order
+            .get(self.next.fetch_add(1, Ordering::Relaxed))
+            .copied()
+    }
 }
 
 /// Profile one shard chunk against a memo: the shared leaf both the
@@ -788,18 +811,29 @@ mod tests {
     }
 
     #[test]
-    fn balance_shapes_assigns_longest_first_to_the_lightest_bin() {
-        let shapes: Vec<IterationShape> = [(16, 10), (16, 40), (16, 20), (16, 30), (8, 10)]
+    fn shape_queue_hands_out_each_shape_once_longest_first() {
+        let shapes: Vec<IterationShape> = [(16, 10), (16, 40), (16, 20), (16, 40), (8, 10)]
             .iter()
             .map(|&(batch, seq_len)| IterationShape::new(batch, seq_len))
             .collect();
-        // Costs 160, 640, 320, 480, 80: 640 → bin 0, 480 → bin 1,
-        // 320 → bin 1 (800), 160 → bin 0 (800), 80 → bin 0 (tie, lower).
-        assert_eq!(balance_shapes(&shapes, 2), vec![vec![1, 0, 4], vec![3, 2]]);
-        // Never more bins than shapes, never an empty bin.
-        assert_eq!(balance_shapes(&shapes[..2], 4), vec![vec![1], vec![0]]);
-        assert_eq!(balance_shapes(&shapes, 1), vec![vec![1, 3, 2, 0, 4]]);
-        assert!(balance_shapes(&[], 3).is_empty());
+        // Costs 160, 640, 320, 640, 80; the tie keeps input order.
+        assert_eq!(longest_first(&shapes), vec![1, 3, 2, 0, 4]);
+        assert!(longest_first(&[]).is_empty());
+
+        // Three threads drain one queue: every shape exactly once.
+        let queue = ShapeQueue::new(&shapes);
+        let mut taken: Vec<usize> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..3)
+                .map(|_| scope.spawn(|| std::iter::from_fn(|| queue.next()).collect::<Vec<_>>()))
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
+        });
+        taken.sort_unstable();
+        assert_eq!(taken, vec![0, 1, 2, 3, 4]);
+        assert_eq!(queue.next(), None);
     }
 
     #[test]

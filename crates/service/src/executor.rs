@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 use seqpoint_core::online::OnlineSlTracker;
 use seqpoint_core::protocol::{decode_frame, encode_frame, WorkerReply, WorkerTask};
 use sqnn::IterationShape;
-use sqnn_profiler::stream::{balance_shapes, RoundExecutor, ShardChunk, ShardReport};
+use sqnn_profiler::stream::{RoundExecutor, ShardChunk, ShardReport};
 use sqnn_profiler::{IterationProfile, ProfileError};
 
 use crate::metrics::MetricsRegistry;
@@ -281,29 +281,26 @@ fn executor_error(message: impl Into<String>) -> ProfileError {
 /// runs a round and released when its reports are collected, so the
 /// scheduler's per-round lease points sit exactly at the fold stage
 /// boundary — never across a merge, gate, or checkpoint write. A
-/// replay-phase miss batch is one lease too: its `Profile` frames are
-/// pipelined over up to `shards` leased workers.
+/// replay-phase miss batch is one lease of one worker, which answers
+/// its `Profile` frames one at a time.
 pub struct SubprocessExecutor<'p> {
     pool: &'p WorkerPool,
     job: String,
     model: String,
     config: u32,
     stat: &'static str,
-    shards: usize,
     acquire_timeout: Duration,
 }
 
 impl<'p> SubprocessExecutor<'p> {
     /// An executor for one job's rounds; `job` names the lease holder
-    /// in the [`WorkerTask::Lease`] frames sent to leased workers, and
-    /// replay miss batches spread over up to `shards` workers.
+    /// in the [`WorkerTask::Lease`] frames sent to leased workers.
     pub fn new(
         pool: &'p WorkerPool,
         job: impl Into<String>,
         model: impl Into<String>,
         config: u32,
         stat: &'static str,
-        shards: usize,
     ) -> Self {
         SubprocessExecutor {
             pool,
@@ -311,7 +308,6 @@ impl<'p> SubprocessExecutor<'p> {
             model: model.into(),
             config,
             stat,
-            shards: shards.max(1),
             acquire_timeout: Duration::from_secs(30),
         }
     }
@@ -326,30 +322,6 @@ impl<'p> SubprocessExecutor<'p> {
         self.pool
             .lease(want, self.acquire_timeout, &self.job)
             .ok_or_else(|| executor_error("no workers available (pool drained or lost)"))
-    }
-
-    fn profile_task(&self, shape: IterationShape) -> WorkerTask {
-        WorkerTask::Profile {
-            model: self.model.clone(),
-            config: self.config,
-            seq_len: shape.src_len,
-            samples: shape.batch,
-        }
-    }
-}
-
-/// Read one `Profile` reply from a worker.
-fn recv_profile(conn: &mut WorkerConn) -> Result<IterationProfile, ProfileError> {
-    match conn
-        .recv()
-        .map_err(|e| executor_error(format!("collecting profile reply: {e}")))?
-    {
-        WorkerReply::Profile { profile } => serde::json::from_str(&profile)
-            .map_err(|e| executor_error(format!("bad profile payload: {e}"))),
-        WorkerReply::Error { reason } => {
-            Err(executor_error(format!("worker rejected task: {reason}")))
-        }
-        WorkerReply::Round { .. } => Err(executor_error("unexpected round reply")),
     }
 }
 
@@ -459,34 +431,41 @@ impl RoundExecutor for SubprocessExecutor<'_> {
         if shapes.is_empty() {
             return Ok(Vec::new());
         }
-        let mut conns = self.acquire(self.shards.min(shapes.len()))?;
-        // Longest-first over the leased workers; every frame is sent
-        // before any reply is read, and each worker answers its frames
-        // FIFO. One failure poisons the batch and every acquired
-        // connection, exactly as in `execute_round`.
-        let bins = balance_shapes(shapes, conns.len());
+        // One worker simulates the whole batch, one frame in flight at
+        // a time, so the batch costs one lease instead of one per shape.
+        // Replay simulation stays serial on the daemon's fleet: a batch
+        // split over several workers waits for the slowest of them, and
+        // its run time swings with whatever else the host runs. One
+        // failure poisons the batch and its connection, exactly as in
+        // `execute_round`.
+        let mut conns = self.acquire(1)?;
         let result = (|| -> Result<Vec<IterationProfile>, ProfileError> {
-            for (bin, conn) in bins.iter().zip(conns.iter_mut()) {
-                for &i in bin {
-                    let shape = shapes
-                        .get(i)
-                        .ok_or_else(|| executor_error("shape index out of range"))?;
-                    conn.send(&self.profile_task(*shape))
+            let conn = conns
+                .first_mut()
+                .ok_or_else(|| executor_error("no worker acquired for the profile batch"))?;
+            shapes
+                .iter()
+                .map(|shape| {
+                    let task = WorkerTask::Profile {
+                        model: self.model.clone(),
+                        config: self.config,
+                        seq_len: shape.src_len,
+                        samples: shape.batch,
+                    };
+                    conn.send(&task)
                         .map_err(|e| executor_error(format!("sending profile task: {e}")))?;
-                }
-            }
-            let mut profiles: Vec<Option<IterationProfile>> = vec![None; shapes.len()];
-            for (bin, conn) in bins.iter().zip(conns.iter_mut()) {
-                for &i in bin {
-                    let profile = recv_profile(conn)?;
-                    if let Some(slot) = profiles.get_mut(i) {
-                        *slot = Some(profile);
+                    match conn
+                        .recv()
+                        .map_err(|e| executor_error(format!("collecting profile reply: {e}")))?
+                    {
+                        WorkerReply::Profile { profile } => serde::json::from_str(&profile)
+                            .map_err(|e| executor_error(format!("bad profile payload: {e}"))),
+                        WorkerReply::Error { reason } => {
+                            Err(executor_error(format!("worker rejected task: {reason}")))
+                        }
+                        WorkerReply::Round { .. } => Err(executor_error("unexpected round reply")),
                     }
-                }
-            }
-            profiles
-                .into_iter()
-                .map(|p| p.ok_or_else(|| executor_error("a shape went unanswered")))
+                })
                 .collect()
         })();
         match result {
@@ -622,37 +601,35 @@ mod tests {
     }
 
     #[test]
-    fn profile_batches_pipeline_over_leased_workers_in_input_order() {
+    fn a_profile_batch_is_one_lease_answered_in_input_order() {
         let shapes: Vec<IterationShape> = [(16, 10), (16, 40), (8, 20), (16, 30)]
             .iter()
             .map(|&(batch, seq_len)| IterationShape::new(batch, seq_len))
             .collect();
         let expected: Vec<(u32, u32)> = shapes.iter().map(|s| (s.src_len, s.batch)).collect();
 
-        // Three shards wanted, two workers registered: both are leased
-        // once, each answers its share, and the answers come back in
-        // input order.
+        // Two workers registered: the batch leases one of them once, it
+        // answers every shape, and the answers come back in input order.
         let (pool, workers) = fleet(&[0, 0]);
-        let profiles = SubprocessExecutor::new(&pool, "job", "gnmt", 1, "runtime", 3)
+        let profiles = SubprocessExecutor::new(&pool, "job", "gnmt", 1, "runtime")
             .profile_shapes(&shapes)
             .unwrap();
         let answered: Vec<(u32, u32)> = profiles.iter().map(|p| (p.seq_len, p.samples)).collect();
         assert_eq!(answered, expected);
-        assert_eq!(pool.fleet_stats(), (2, 0), "one lease per worker");
+        assert_eq!(pool.fleet_stats(), (1, 0), "one lease per batch");
         assert_eq!(
             pool.idle_pids().len(),
             2,
-            "a good batch releases its workers"
+            "a good batch releases its worker"
         );
         pool.drain();
-        let per_worker: Vec<usize> = workers.into_iter().map(|w| w.join().unwrap()).collect();
-        assert_eq!(per_worker.iter().sum::<usize>(), shapes.len());
-        assert!(per_worker.iter().all(|&n| n > 0), "{per_worker:?}");
+        let mut per_worker: Vec<usize> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+        per_worker.sort_unstable();
+        assert_eq!(per_worker, vec![0, shapes.len()]);
 
-        // One rejected shape poisons the batch and every connection it
-        // leased.
-        let (pool, workers) = fleet(&[40, 0]);
-        let err = SubprocessExecutor::new(&pool, "job", "gnmt", 1, "runtime", 2)
+        // One rejected shape poisons the batch and its connection.
+        let (pool, workers) = fleet(&[40]);
+        let err = SubprocessExecutor::new(&pool, "job", "gnmt", 1, "runtime")
             .profile_shapes(&shapes)
             .unwrap_err();
         assert!(
@@ -661,7 +638,7 @@ mod tests {
         );
         assert!(
             pool.idle_pids().is_empty(),
-            "a poisoned batch closes its workers"
+            "a poisoned batch closes its worker"
         );
         for worker in workers {
             worker.join().unwrap();

@@ -1175,7 +1175,6 @@ fn run_job(shared: &Arc<Shared>, id: &str) {
                 spec.model.clone(),
                 spec.config,
                 resolved.options.stat.label(),
-                resolved.options.shards,
             );
             run(&mut executor)
         }
