@@ -190,36 +190,6 @@ impl StreamingSelector {
         saturated
     }
 
-    /// Conservatively, whether the early-stop rule could hold after up
-    /// to `upcoming` more measured iterations are ingested. `false` is a
-    /// guarantee — the stop rule requires a full saturation window of
-    /// ingested iterations, so until the window can complete no stop
-    /// fires and a caller may overlap work across the next merge.
-    /// `true` only means a stop is possible, not that it will happen.
-    pub fn stop_possible_after(&self, upcoming: u64) -> bool {
-        self.stopped_at.is_some()
-            || self.novelty.iterations().saturating_add(upcoming)
-                >= self.config.saturation_window.max(1)
-    }
-
-    /// [`Self::stop_possible_after`] expressed as a budget: the smallest
-    /// number of upcoming measured iterations after which the early-stop
-    /// rule could hold. `stop_possible_after(n)` is `true` exactly when
-    /// `n >= stop_credit()`, and the credit is `0` once the stop has
-    /// fired. Pipelined callers use the credit to gate round speculation
-    /// without holding a selector reference across threads: a round of
-    /// `n` iterations may overlap the previous round's merge whenever
-    /// `n < credit`.
-    pub fn stop_credit(&self) -> u64 {
-        if self.stopped_at.is_some() {
-            return 0;
-        }
-        self.config
-            .saturation_window
-            .max(1)
-            .saturating_sub(self.novelty.iterations())
-    }
-
     /// Record a measured iteration outside the round flow (a shape never
     /// profiled before surfacing during the replay phase).
     pub fn observe_measured(&mut self, seq_len: u32, stat: f64) {
@@ -760,63 +730,6 @@ mod tests {
         // 200 iterations of one SL: well past the window, stop holds.
         assert!(selector.should_stop());
         assert!(selector.stopped_at().unwrap() >= window);
-    }
-
-    #[test]
-    fn stop_possible_after_bounds_the_window() {
-        let config = StreamConfig {
-            saturation_window: 100,
-            ..StreamConfig::default()
-        };
-        let mut selector = StreamingSelector::with_config(config);
-        // Empty selector: a stop needs the full window.
-        assert!(!selector.stop_possible_after(99));
-        assert!(selector.stop_possible_after(100));
-        let mut round = OnlineSlTracker::new();
-        for _ in 0..40 {
-            round.observe(42, 1.0);
-        }
-        assert!(!selector.ingest_round(&round));
-        // 40 ingested: 59 more cannot complete the window, 60 can.
-        assert!(!selector.stop_possible_after(59));
-        assert!(selector.stop_possible_after(60));
-        // Once stopped, any horizon reports possible.
-        let mut big = OnlineSlTracker::new();
-        for _ in 0..160 {
-            big.observe(42, 1.0);
-        }
-        assert!(selector.ingest_round(&big));
-        assert!(selector.stop_possible_after(0));
-    }
-
-    #[test]
-    fn stop_credit_is_the_stop_possible_threshold() {
-        let config = StreamConfig {
-            saturation_window: 100,
-            ..StreamConfig::default()
-        };
-        let mut selector = StreamingSelector::with_config(config);
-        // The credit is exactly the boundary of `stop_possible_after`,
-        // at every ingestion level: `possible(n)` ⟺ `n >= credit`.
-        for _round in 0..6 {
-            let credit = selector.stop_credit();
-            for n in [0, 1, credit.saturating_sub(1), credit, credit + 1, 500] {
-                assert_eq!(
-                    selector.stop_possible_after(n),
-                    n >= credit,
-                    "possible({n}) vs credit {credit}"
-                );
-            }
-            let mut round = OnlineSlTracker::new();
-            for _ in 0..30 {
-                round.observe(42, 1.0);
-            }
-            selector.ingest_round(&round);
-        }
-        // 180 one-SL iterations ingested: stopped, credit exhausted.
-        assert!(selector.should_stop());
-        assert_eq!(selector.stop_credit(), 0);
-        assert!(selector.stop_possible_after(0));
     }
 
     #[test]

@@ -79,7 +79,8 @@ pub fn run(w: &mut Workloads) -> ProfilingSpeedup {
             w.plan(net).batch_size(),
             &sls,
             &device,
-        );
+        )
+        .expect("profiling threads do not panic");
         let cost = profiling_cost(&profiles);
         let row = ProfilingSpeedupNet {
             net,

@@ -10,20 +10,25 @@
 use gpu_sim::Device;
 use sqnn::Network;
 
-use crate::{IterationProfile, Profiler};
+use crate::stream::join_shard;
+use crate::{IterationProfile, ProfileError, Profiler};
 
 /// Profile one iteration per sequence length concurrently, one thread
 /// per SL (each standing for a separate profiling machine).
 ///
 /// Results are returned in the order of `seq_lens`, identical to what
 /// [`Profiler::profile_seq_lens`] produces serially.
+///
+/// # Errors
+///
+/// [`ProfileError::Executor`] when a profiling thread panics.
 pub fn profile_seq_lens_parallel(
     profiler: &Profiler,
     network: &Network,
     batch: u32,
     seq_lens: &[u32],
     device: &Device,
-) -> Vec<IterationProfile> {
+) -> Result<Vec<IterationProfile>, ProfileError> {
     std::thread::scope(|scope| {
         let handles: Vec<_> = seq_lens
             .iter()
@@ -36,10 +41,10 @@ pub fn profile_seq_lens_parallel(
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("profiling thread panicked"))
-            .collect()
+        // Join every handle before looking at any result: a panicked
+        // thread left unjoined would re-panic when the scope closes.
+        let joined: Vec<_> = handles.into_iter().map(join_shard).collect();
+        joined.into_iter().collect()
     })
 }
 
@@ -74,7 +79,7 @@ mod tests {
         let profiler = Profiler::new();
         let sls = [5, 10, 20, 40];
         let serial = profiler.profile_seq_lens(&net, 4, &sls, &device);
-        let parallel = profile_seq_lens_parallel(&profiler, &net, 4, &sls, &device);
+        let parallel = profile_seq_lens_parallel(&profiler, &net, 4, &sls, &device).unwrap();
         assert_eq!(serial, parallel);
     }
 

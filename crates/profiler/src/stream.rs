@@ -6,12 +6,7 @@
 //! epoch plan is consumed in rounds ([`sqnn_data::EpochPlan::rounds`]),
 //! each round's iterations are dealt round-robin to shard chunks, and
 //! the per-shard [`OnlineSlTracker`] states are merged into a
-//! [`StreamingSelector`] after every round. The round loop is
-//! software-pipelined: while round N's reports merge (and its periodic
-//! checkpoint writes) on a helper thread, round N+1 is already
-//! executing on the placement — the stop/pause decision lands one round
-//! late, and the speculatively executed round is simply discarded,
-//! exactly what a resumed run would redo. Once the sequence-length
+//! [`StreamingSelector`] after every round. Once the sequence-length
 //! space saturates, the harness stops *executing* iterations and keeps
 //! consuming the rest of the plan as free shape metadata: an iteration
 //! whose `(seq_len, samples)` shape was already profiled is replayed
@@ -366,10 +361,9 @@ impl<'a> ThreadExecutor<'a> {
                     scope.spawn(move || {
                         let mut done = Vec::new();
                         while let Some(i) = queue.next() {
-                            done.push((
-                                i,
-                                profiler.profile_iteration(network, &unseen[i], &device),
-                            ));
+                            if let Some(shape) = unseen.get(i) {
+                                done.push((i, profiler.profile_iteration(network, shape, &device)));
+                            }
                         }
                         done
                     })
@@ -381,8 +375,10 @@ impl<'a> ThreadExecutor<'a> {
         });
         for done in per_thread {
             for (i, profile) in done? {
-                self.memo.insert(shape_key(&unseen[i]), profile);
-                self.simulated += 1;
+                if let Some(shape) = unseen.get(i) {
+                    self.memo.insert(shape_key(shape), profile);
+                    self.simulated += 1;
+                }
             }
         }
         Ok(())
@@ -470,9 +466,14 @@ pub(crate) fn join_shard<T>(handle: ScopedJoinHandle<'_, T>) -> Result<T, Profil
 /// The order a batch of shapes is handed out in: most expensive first
 /// by estimated cost, `seq_len × samples`, ties in input order.
 fn longest_first(shapes: &[IterationShape]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..shapes.len()).collect();
-    order.sort_by_key(|&i| Reverse(u64::from(shapes[i].src_len) * u64::from(shapes[i].batch)));
-    order
+    let mut order: Vec<(usize, u64)> = shapes
+        .iter()
+        .map(|s| u64::from(s.src_len) * u64::from(s.batch))
+        .enumerate()
+        .collect();
+    // A stable sort: ties keep input order.
+    order.sort_by_key(|&(_, cost)| Reverse(cost));
+    order.into_iter().map(|(i, _)| i).collect()
 }
 
 /// A batch's shapes, shared by the threads that simulate it: each
@@ -518,6 +519,7 @@ pub fn execute_chunk(
     let mut tracker = OnlineSlTracker::new();
     let mut chunk_time_s = 0.0;
     let mut shape_keys: Vec<(u32, u32)> = Vec::new();
+    let mut shapes = Vec::new();
     for batch in &chunk.batches {
         let key = (batch.seq_len, batch.samples);
         let profile = memo.entry(key).or_insert_with(|| {
@@ -528,9 +530,9 @@ pub fn execute_chunk(
         chunk_time_s += profile.time_s;
         if !shape_keys.contains(&key) {
             shape_keys.push(key);
+            shapes.push(profile.clone());
         }
     }
-    let shapes = shape_keys.iter().map(|key| memo[key].clone()).collect();
     ShardReport {
         tracker,
         chunk_time_s,
@@ -674,7 +676,11 @@ pub fn profile_epoch_streaming(
     let fingerprint = stream_fingerprint(network, plan, device, options);
     match profile_epoch_streaming_with(&mut executor, plan, options, fingerprint, None, None)? {
         StreamOutcome::Complete(profile) => Ok(profile),
-        StreamOutcome::Paused(_) => unreachable!("pausing requires a checkpoint policy"),
+        // Only a checkpoint policy arms the pause, and there is none here.
+        StreamOutcome::Paused(pause) => Err(checkpoint_error(
+            &pause.path,
+            "paused without a checkpoint policy",
+        )),
     }
 }
 
@@ -731,12 +737,9 @@ pub fn profile_epoch_streaming_checkpointed(
 /// `seqpoint serve` uses on SIGTERM. Without a checkpoint policy the
 /// hook is ignored (there is nowhere to persist the pause).
 ///
-/// The measure phase overlaps round N+1's execution with round N's
-/// merge and checkpoint, so a pause or stop may discard one
-/// speculatively executed round; the persisted state never includes it,
-/// and the resumed run re-executes it bit-identically. Executors see at
-/// most one `execute_round` call at a time — the overlap never calls
-/// the executor concurrently with itself.
+/// Rounds run one at a time: a round is executed, merged and checkpointed
+/// before the next one starts, so a pause or stop never leaves an
+/// executed round unmerged.
 ///
 /// This is a thin assembly wrapper over the canonical operator graph,
 /// [`crate::pipeline::StreamGraph`]; callers that want per-stage
@@ -1400,8 +1403,7 @@ mod tests {
     }
 
     /// A [`ThreadExecutor`] wrapper recording the (sorted) batch
-    /// multiset of every `execute_round` call — the witness that the
-    /// pipelined loop speculated, discarded, and replayed.
+    /// multiset of every `execute_round` call.
     struct RecordingExecutor<'a> {
         inner: ThreadExecutor<'a>,
         rounds: Vec<Vec<BatchShape>>,
@@ -1448,7 +1450,7 @@ mod tests {
     }
 
     #[test]
-    fn every_round_boundary_discards_the_speculative_round_and_replays_it() {
+    fn every_round_boundary_pauses_with_no_unmerged_round_and_resumes() {
         // A 6k-sentence epoch saturates in a handful of rounds, keeping
         // the boundary sweep (a full resume per boundary) affordable.
         let corpus = Corpus::iwslt15_like(6_000, 13);
@@ -1462,13 +1464,24 @@ mod tests {
             ..StreamOptions::default()
         };
         let fingerprint = stream_fingerprint(&net, &plan, &device, &options);
-        let uninterrupted =
-            profile_epoch_streaming(&profiler, &net, &plan, &device, &options).unwrap();
+        let mut reference = RecordingExecutor::new(&profiler, &net, device.clone(), &options);
+        let uninterrupted = match profile_epoch_streaming_with(
+            &mut reference,
+            &plan,
+            &options,
+            fingerprint,
+            None,
+            None,
+        )
+        .unwrap()
+        {
+            StreamOutcome::Complete(profile) => profile,
+            StreamOutcome::Paused(_) => panic!("no checkpoint, cannot pause"),
+        };
 
         // Kill at every round boundary in turn (fresh checkpoint each
-        // time). Every boundary of the pipelined measure loop is
-        // exercised; once the pauses move into the (sequential) replay
-        // phase, two more suffice — nothing speculates there.
+        // time). Every boundary of the measure phase is exercised; once
+        // the pauses move into the replay phase, two more suffice.
         let mut boundary: u64 = 0;
         let mut replay_pauses = 0;
         loop {
@@ -1495,18 +1508,15 @@ mod tests {
             let StreamOutcome::Paused(pause) = outcome else {
                 break; // budget outlived the run: every boundary covered
             };
-            let merged = pause.rounds_ingested as usize;
-            // While measurement was still running, the loop had already
-            // launched exactly one round beyond what it merged — the
-            // speculation. (A pause inside the replay phase launches
-            // nothing new.)
-            if killed.rounds.len() > merged {
-                assert_eq!(
-                    killed.rounds.len(),
-                    merged + 1,
-                    "boundary {boundary}: exactly one speculative round"
-                );
-            } else {
+            // Rounds run one at a time, so the pause leaves no executed
+            // round unmerged.
+            assert_eq!(
+                killed.rounds.len(),
+                pause.rounds_ingested as usize,
+                "boundary {boundary}"
+            );
+            // Blocks past the merged rounds were replay blocks.
+            if u64::from(pause.rounds_ingested) < boundary {
                 replay_pauses += 1;
             }
             let mut resumed_exec =
@@ -1524,22 +1534,18 @@ mod tests {
                 StreamOutcome::Complete(profile) => profile,
                 StreamOutcome::Paused(_) => panic!("resume without a budget must complete"),
             };
-            // The in-flight round was not persisted: the resumed run
-            // re-executes that exact block first, and the end-to-end
-            // outcome is bit-identical to the uninterrupted run.
             assert_eq!(resumed, uninterrupted, "boundary {boundary}");
-            if killed.rounds.len() > merged && !resumed_exec.rounds.is_empty() {
-                assert_eq!(
-                    resumed_exec.rounds[0], killed.rounds[merged],
-                    "boundary {boundary}: the discarded round is replayed first"
-                );
-            }
+            // Together the two invocations execute exactly the rounds of
+            // the uninterrupted run: none twice, none skipped.
+            let mut rounds = killed.rounds;
+            rounds.extend(resumed_exec.rounds);
+            assert!(rounds == reference.rounds, "boundary {boundary}");
         }
         assert!(boundary > 3, "expected several boundaries, got {boundary}");
     }
 
     #[test]
-    fn speculative_round_failure_is_discarded_by_a_pause_and_surfaces_at_a_merge() {
+    fn failing_round_is_never_launched_past_a_pause_and_fails_the_run_otherwise() {
         let (net, plan) = big_workload();
         let device = device();
         let profiler = Profiler::new();
@@ -1564,9 +1570,8 @@ mod tests {
             )
         };
 
-        // With a 2-round budget the 3rd round is still speculative at
-        // the pause boundary, so its injected failure is discarded with
-        // it — the pause wins, not the error.
+        // With a 2-round budget the run pauses before round 3, the one
+        // that would fail, so that round is never launched.
         let ckpt = TempCheckpoint::new("flaky-paused");
         let outcome = profile_epoch_streaming_with(
             &mut executor(3),
@@ -1583,9 +1588,9 @@ mod tests {
         .unwrap();
         assert!(matches!(outcome, StreamOutcome::Paused(_)));
 
-        // Without the budget the same failure surfaces as an executor
-        // error at the next merge boundary — after round 2's checkpoint
-        // landed, so the state on disk is still consistent.
+        // Without the budget round 3 runs and its failure fails the run.
+        // Round 2's checkpoint was submitted before round 3 started, so
+        // the state on disk is still consistent.
         let ckpt2 = TempCheckpoint::new("flaky-error");
         let err = profile_epoch_streaming_with(
             &mut executor(3),

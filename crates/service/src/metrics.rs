@@ -242,11 +242,6 @@ pub const CATALOG: &[MetricDef] = &[
         "Wall milliseconds (microsecond resolution) spent per streaming-pipeline stage.",
     ),
     gauge(
-        "seqpoint_stage_channel_depth",
-        "stage",
-        "High-water input-channel depth observed per pipeline stage.",
-    ),
-    gauge(
         "seqpoint_queue_depth",
         "class",
         "Jobs waiting in the scheduler queue, per fairness class.",
@@ -468,8 +463,6 @@ struct StageCounters {
     items_out: AtomicU64,
     /// Recorded in microseconds; exported in (fractional) milliseconds.
     wall_us: AtomicU64,
-    /// High-water input-channel depth (backpressure indicator).
-    depth: AtomicU64,
 }
 
 /// Per-client accumulation (wire traffic + job submissions).
@@ -834,9 +827,6 @@ impl MetricsRegistry {
                         (s.wall_us.load(Ordering::Relaxed) as f64 / 1000.0).to_string()
                     });
                 }
-                "seqpoint_stage_channel_depth" => {
-                    by_stage(&mut out, |s| s.depth.load(Ordering::Relaxed).to_string());
-                }
                 "seqpoint_queue_depth" => by_class(&mut out, |c| &c.queue_depth),
                 "seqpoint_queue_wait_ms_total" => by_class(&mut out, |c| &c.queue_wait_ms_total),
                 "seqpoint_queue_dequeued_total" => by_class(&mut out, |c| &c.dequeued_total),
@@ -888,8 +878,6 @@ impl StageMeter for MetricsRegistry {
             slot.items_out
                 .fetch_add(sample.items_out, Ordering::Relaxed);
             slot.wall_us.fetch_add(sample.wall_us, Ordering::Relaxed);
-            slot.depth
-                .fetch_max(sample.channel_depth, Ordering::Relaxed);
         }
     }
 }
@@ -999,7 +987,6 @@ mod tests {
                 items_in: 64,
                 items_out: 3,
                 wall_us: 9_000,
-                channel_depth: 0,
             },
         );
         std::mem::forget(conn); // keep the per-conn series alive
@@ -1017,26 +1004,14 @@ mod tests {
                 items_in: 4,
                 items_out: 1,
                 wall_us: 2_250,
-                channel_depth: 0,
             },
         );
-        registry.record(
-            StageId::Merge,
-            StageSample {
-                items_in: 0,
-                items_out: 0,
-                wall_us: 0,
-                channel_depth: 1,
-            },
-        );
-        // Depth is a high-water mark: a later zero sample keeps it.
         registry.record(
             StageId::Merge,
             StageSample {
                 items_in: 4,
                 items_out: 1,
                 wall_us: 1_000,
-                channel_depth: 0,
             },
         );
         let text = registry.render(&RenderGauges::default());
@@ -1045,7 +1020,6 @@ mod tests {
         // Wall time is kept in microseconds and exported as fractional
         // milliseconds, so sub-millisecond stage work is not lost.
         assert!(text.contains("seqpoint_stage_wall_ms_total{stage=\"merge\"} 3.25\n"));
-        assert!(text.contains("seqpoint_stage_channel_depth{stage=\"merge\"} 1"));
         // Idle stages still expose their series at zero.
         assert!(text.contains("seqpoint_stage_items_in_total{stage=\"sink\"} 0"));
         assert!(text.contains("seqpoint_stage_wall_ms_total{stage=\"replay\"} 0\n"));

@@ -309,7 +309,6 @@ fn scrape_endpoint_serves_get_and_rejects_garbage() {
         "seqpoint_cache_misses_total",
         "seqpoint_fleet_idle",
         "seqpoint_stage_items_in_total{stage=\"source\"}",
-        "seqpoint_stage_channel_depth{stage=\"merge\"}",
     ] {
         assert!(ok.contains(name), "scrape is missing {name}:\n{ok}");
     }

@@ -442,10 +442,10 @@ fn cached_results_survive_a_restart() {
 fn follower_attached_at_drain_gets_the_resumed_jobs_result() {
     let scratch = Scratch::new("drainfollow");
     let socket = scratch.socket();
-    // Paced and never early-stopping, so the drain lands mid-run with
-    // the follower still attached.
+    // Paced and never early-stopping, so the drain lands mid-run, rounds
+    // before the last one starts, with the follower still attached.
     let spec = JobSpec {
-        throttle_ms: 40,
+        throttle_ms: 80,
         stream: StreamConfig {
             saturation_window: u64::MAX,
             ..StreamConfig::default()

@@ -287,9 +287,9 @@ fn drain_checkpoints_and_restart_resumes_identically() {
     let scratch = Scratch::new("drain");
     let socket = scratch.socket();
     let spec = JobSpec {
-        // Never early-stops and paced at 40 ms/round: the drain lands
-        // mid-run deterministically.
-        throttle_ms: 40,
+        // Never early-stops and paced at 80 ms/round: the drain lands
+        // mid-run deterministically, rounds before the last one starts.
+        throttle_ms: 80,
         stream: StreamConfig {
             saturation_window: u64::MAX,
             ..StreamConfig::default()

@@ -77,7 +77,7 @@ fn claim_seqpoints_profile_in_parallel() {
     let sls = analysis.seqpoints().seq_lens();
 
     let serial = profiler.profile_seq_lens(&net, 64, &sls, &device);
-    let parallel = profile_seq_lens_parallel(&profiler, &net, 64, &sls, &device);
+    let parallel = profile_seq_lens_parallel(&profiler, &net, 64, &sls, &device).unwrap();
     assert_eq!(serial, parallel);
 
     let cost = profiling_cost(&parallel);
