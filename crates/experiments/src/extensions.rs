@@ -90,9 +90,8 @@ pub fn run(w: &mut Workloads) -> Extensions {
         for &sl in corpus.lengths().iter() {
             let t = *memo.entry(sl).or_insert_with(|| {
                 // Requests served one by one (batch 1), forward pass only.
-                let trace =
-                    net.inference_trace(&IterationShape::new(1, sl), device.config(), &mut tuner);
-                device.run_trace(&trace).total_time_s()
+                net.inference_profile(&IterationShape::new(1, sl), &device, &mut tuner)
+                    .total_time_s()
             });
             log.push(sl, t);
         }

@@ -40,11 +40,8 @@ pub struct Fig05 {
 fn kernel_names(w: &Workloads, net: Net, sl: u32) -> BTreeSet<String> {
     let device = Device::new(w.config(0).clone());
     let mut tuner = AutotuneTable::new();
-    let trace =
-        w.network(net)
-            .iteration_trace(&IterationShape::new(64, sl), device.config(), &mut tuner);
-    device
-        .run_trace(&trace)
+    w.network(net)
+        .iteration_profile(&IterationShape::new(64, sl), &device, &mut tuner)
         .unique_kernels()
         .map(str::to_owned)
         .collect()

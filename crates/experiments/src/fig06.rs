@@ -44,10 +44,9 @@ pub struct Fig06 {
 fn shares(w: &Workloads, net: Net, sl: u32) -> ShareRow {
     let device = Device::new(w.config(0).clone());
     let mut tuner = AutotuneTable::new();
-    let trace =
+    let profile =
         w.network(net)
-            .iteration_trace(&IterationShape::new(64, sl), device.config(), &mut tuner);
-    let profile = device.run_trace(&trace);
+            .iteration_profile(&IterationShape::new(64, sl), &device, &mut tuner);
     let total = profile.total_time_s();
     // Rank GEMM kernels by time; group the rest by kind.
     let mut gemm_times: Vec<f64> = Vec::new();

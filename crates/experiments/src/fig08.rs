@@ -38,8 +38,7 @@ pub fn run(w: &mut Workloads) -> Fig08 {
     // plus scalar ops) for each SL.
     let mut per_sl: Vec<BTreeMap<String, f64>> = Vec::new();
     for &sl in &SLS {
-        let trace = net.iteration_trace(&IterationShape::new(64, sl), device.config(), &mut tuner);
-        let profile = device.run_trace(&trace);
+        let profile = net.iteration_profile(&IterationShape::new(64, sl), &device, &mut tuner);
         let total = profile.total_time_s();
         let mut groups: BTreeMap<String, f64> = BTreeMap::new();
         for (name, agg) in profile.by_kernel() {

@@ -108,16 +108,24 @@ impl Device {
         (timing, counters)
     }
 
+    /// Execute `kernel` as launch number `idx` of a serial stream and
+    /// record it into `profile`. The jitter factor is keyed by the kernel's
+    /// name and `idx`, so a stream priced launch by launch equals the same
+    /// stream run as a trace.
+    pub fn launch(&self, profile: &mut TraceProfile, idx: u64, kernel: &KernelDesc) {
+        let (timing, counters) = self.run_kernel(kernel);
+        let factor = match &self.jitter {
+            Some(j) => j.factor(kernel.name(), idx),
+            None => 1.0,
+        };
+        profile.record(kernel, timing.time_s * factor, counters);
+    }
+
     /// Execute a kernel trace serially and aggregate the results.
     pub fn run_trace(&self, trace: &[KernelDesc]) -> TraceProfile {
         let mut profile = TraceProfile::new();
-        for (idx, kernel) in trace.iter().enumerate() {
-            let (timing, counters) = self.run_kernel(kernel);
-            let factor = match &self.jitter {
-                Some(j) => j.factor(kernel.name(), idx as u64),
-                None => 1.0,
-            };
-            profile.record(kernel, timing.time_s * factor, counters);
+        for (idx, kernel) in (0u64..).zip(trace) {
+            self.launch(&mut profile, idx, kernel);
         }
         profile
     }

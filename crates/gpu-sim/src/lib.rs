@@ -2,10 +2,13 @@
 //!
 //! The SeqPoint paper profiles SQNN training on a real AMD Radeon Vega
 //! Frontier Edition GPU. This crate is the substitute substrate: a
-//! deterministic, analytic model of a Vega-class GPU that executes *kernel
-//! traces* (sequences of [`KernelDesc`]) and reports per-kernel and
-//! per-trace runtimes plus the performance counters the paper relies on
+//! deterministic, analytic model of a Vega-class GPU that prices kernels
+//! ([`KernelDesc`]) as they are launched and reports per-kernel and
+//! per-iteration runtimes plus the performance counters the paper relies on
 //! (vector-ALU instructions, memory-write stalls, load data size).
+//! [`Device::launch`] records one kernel into a [`TraceProfile`] as it is
+//! emitted, so a caller never has to hold a whole iteration's trace;
+//! [`Device::run_trace`] runs a collected trace through the same path.
 //!
 //! The model captures exactly the mechanisms the paper attributes iteration
 //! heterogeneity to:

@@ -318,8 +318,7 @@ impl Profiler {
         device: &Device,
         tuner: &mut AutotuneTable,
     ) -> IterationProfile {
-        let trace = network.iteration_trace(shape, device.config(), tuner);
-        let profile = device.run_trace(&trace);
+        let profile = network.iteration_profile(shape, device, tuner);
         let energy_j =
             gpu_sim::energy::EnergyModel::default().trace_energy_j(device.config(), &profile);
         IterationProfile {

@@ -60,16 +60,19 @@ impl PhaseModel {
         // Evaluate at a spread of the epoch's sequence lengths (first,
         // middle, last of the unique set) and average.
         let lens = plan.unique_seq_lens();
-        if lens.is_empty() {
+        let (Some(&first), Some(&middle), Some(&last)) =
+            (lens.first(), lens.get(lens.len() / 2), lens.last())
+        else {
             return 0.0;
-        }
-        let picks = [lens[0], lens[lens.len() / 2], lens[lens.len() - 1]];
+        };
+        let picks = [first, middle, last];
         let mean_t: f64 = picks
             .iter()
             .map(|&sl| {
                 let shape = IterationShape::new(plan.batch_size(), sl);
-                let trace = network.inference_trace(&shape, device.config(), tuner);
-                device.run_trace(&trace).total_time_s()
+                network
+                    .inference_profile(&shape, device, tuner)
+                    .total_time_s()
             })
             .sum::<f64>()
             / picks.len() as f64;

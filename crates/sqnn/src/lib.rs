@@ -1,13 +1,19 @@
-//! # sqnn — sequence-based neural networks as kernel-trace generators
+//! # sqnn — sequence-based neural networks as kernel emitters
 //!
 //! The SeqPoint paper profiles two end-to-end MLPerf networks — Google's
 //! Neural Machine Translation (GNMT) and Baidu's DeepSpeech2 (DS2) — on a
 //! real GPU. This crate is the substitute: layer-level models of those
 //! networks (plus a fixed-input CNN for the paper's Fig. 3 contrast and a
 //! Transformer for the Section VII-B generality discussion) that *emit the
-//! kernel trace* of one training iteration given an input batch shape.
+//! kernel sequence* of one training iteration given an input batch shape.
 //!
-//! The emitted traces reproduce the structural facts the paper's analysis
+//! The simulator prices each kernel on a [`gpu_sim::Device`] as it is
+//! emitted ([`Network::iteration_profile`]), so profiling a shape never
+//! holds its unrolled trace. [`Network::iteration_trace`] collects the
+//! same kernels into a trace instead, for export and inspection; running
+//! that trace gives the same profile bit for bit.
+//!
+//! The emitted kernels reproduce the structural facts the paper's analysis
 //! rests on:
 //!
 //! * recurrent layers unroll per time step while attention, convolution,
@@ -28,8 +34,7 @@
 //! let device = Device::new(GpuConfig::vega_fe());
 //! let mut tuner = AutotuneTable::new();
 //! let shape = IterationShape::new(64, 40);
-//! let trace = net.iteration_trace(&shape, device.config(), &mut tuner);
-//! let profile = device.run_trace(&trace);
+//! let profile = net.iteration_profile(&shape, &device, &mut tuner);
 //! assert!(profile.total_time_s() > 0.0);
 //! ```
 

@@ -1,4 +1,4 @@
-use gpu_sim::{AutotuneTable, GpuConfig, KernelDesc};
+use gpu_sim::{AutotuneTable, Device, GpuConfig, KernelDesc, TraceProfile};
 
 use crate::{IterationShape, Layer, ModelError, TraceCtx};
 
@@ -17,20 +17,26 @@ pub enum Optimizer {
 
 /// An end-to-end network: an ordered layer stack plus an optimizer.
 ///
-/// A `Network` does not hold tensors — it is a *trace generator*: given an
+/// A `Network` does not hold tensors — it is a *kernel emitter*: given an
 /// iteration's input shape it emits the kernel sequence of the forward
 /// pass, the backward pass (reverse layer order), and the optimizer
 /// update, exactly the structure the paper's profiled iterations have.
+/// [`Network::iteration_profile`] prices each kernel on a device as it is
+/// emitted; [`Network::iteration_trace`] collects the kernels instead, for
+/// export and inspection.
 ///
 /// ```
-/// use gpu_sim::{AutotuneTable, GpuConfig};
+/// use gpu_sim::{AutotuneTable, Device, GpuConfig};
 /// use sqnn::{models::ds2, IterationShape};
 ///
 /// let net = ds2();
-/// let cfg = GpuConfig::vega_fe();
+/// let device = Device::new(GpuConfig::vega_fe());
 /// let mut tuner = AutotuneTable::new();
-/// let trace = net.iteration_trace(&IterationShape::new(64, 100), &cfg, &mut tuner);
-/// assert!(trace.len() > 100);
+/// let shape = IterationShape::new(64, 100);
+/// let profile = net.iteration_profile(&shape, &device, &mut tuner);
+/// assert!(profile.launches() > 100);
+/// let trace = net.iteration_trace(&shape, device.config(), &mut tuner);
+/// assert_eq!(device.run_trace(&trace), profile);
 /// ```
 #[derive(Debug)]
 pub struct Network {
@@ -91,19 +97,22 @@ impl Network {
         tuner: &mut AutotuneTable,
     ) -> Vec<KernelDesc> {
         let mut ctx = TraceCtx::new(cfg, tuner);
-        for layer in &self.layers {
-            layer.emit_forward(shape, &mut ctx);
-        }
-        for layer in self.layers.iter().rev() {
-            layer.emit_backward(shape, &mut ctx);
-        }
-        for layer in &self.layers {
-            let params = layer.param_count();
-            if params > 0 {
-                ctx.emit_optimizer(params);
-            }
-        }
+        self.emit(shape, true, &mut ctx);
         ctx.into_trace()
+    }
+
+    /// Profile one training iteration of `shape` on `device`, pricing each
+    /// kernel as it is emitted. Equals `device.run_trace(&iteration_trace(..))`
+    /// bit for bit, without building the trace.
+    pub fn iteration_profile(
+        &self,
+        shape: &IterationShape,
+        device: &Device,
+        tuner: &mut AutotuneTable,
+    ) -> TraceProfile {
+        let mut ctx = TraceCtx::running(device, tuner);
+        self.emit(shape, true, &mut ctx);
+        ctx.into_profile()
     }
 
     /// Emit a forward-only (inference) trace for `shape` — the
@@ -115,10 +124,43 @@ impl Network {
         tuner: &mut AutotuneTable,
     ) -> Vec<KernelDesc> {
         let mut ctx = TraceCtx::new(cfg, tuner);
-        for layer in &self.layers {
-            layer.emit_forward(shape, &mut ctx);
-        }
+        self.emit(shape, false, &mut ctx);
         ctx.into_trace()
+    }
+
+    /// Profile one forward-only (inference) pass of `shape` on `device`,
+    /// pricing each kernel as it is emitted; the running counterpart of
+    /// [`Network::inference_trace`].
+    pub fn inference_profile(
+        &self,
+        shape: &IterationShape,
+        device: &Device,
+        tuner: &mut AutotuneTable,
+    ) -> TraceProfile {
+        let mut ctx = TraceCtx::running(device, tuner);
+        self.emit(shape, false, &mut ctx);
+        ctx.into_profile()
+    }
+
+    /// The one layer order: forward pass, then (when `training`) the
+    /// backward pass in reverse layer order and one optimizer update per
+    /// parameterized layer.
+    fn emit(&self, shape: &IterationShape, training: bool, ctx: &mut TraceCtx<'_>) {
+        for layer in &self.layers {
+            layer.emit_forward(shape, ctx);
+        }
+        if !training {
+            return;
+        }
+        for layer in self.layers.iter().rev() {
+            layer.emit_backward(shape, ctx);
+        }
+        for layer in &self.layers {
+            let params = layer.param_count();
+            if params > 0 {
+                ctx.emit_optimizer(params);
+            }
+        }
     }
 }
 

@@ -1,9 +1,19 @@
 use gpu_sim::gemm::GemmShape;
-use gpu_sim::{conv, elementwise, memops, reduce, AutotuneTable, GpuConfig, KernelDesc};
+use gpu_sim::{
+    conv, elementwise, memops, reduce, AutotuneTable, Device, GpuConfig, KernelDesc, TraceProfile,
+};
 
 /// The emission context layers write kernels into: the target hardware
 /// configuration (needed for autotuned kernel selection), the autotune
-/// table, and the growing trace.
+/// table, and where emitted kernels go.
+///
+/// A context made with [`TraceCtx::new`] collects the kernels into a
+/// trace ([`TraceCtx::into_trace`]). One made with [`TraceCtx::running`]
+/// prices each kernel on a [`Device`] as it is emitted and keeps only the
+/// aggregate [`TraceProfile`] ([`TraceCtx::into_profile`]), so a shape is
+/// profiled without holding its unrolled trace. Both see the same kernels
+/// in the same order, so the running profile equals
+/// [`Device::run_trace`] over the collected trace, bit for bit.
 ///
 /// Layers call the `emit_*` helpers rather than constructing
 /// [`KernelDesc`]s directly, which keeps kernel naming and the traffic
@@ -12,16 +22,39 @@ use gpu_sim::{conv, elementwise, memops, reduce, AutotuneTable, GpuConfig, Kerne
 pub struct TraceCtx<'a> {
     cfg: &'a GpuConfig,
     tuner: &'a mut AutotuneTable,
-    kernels: Vec<KernelDesc>,
+    sink: Sink<'a>,
+}
+
+/// Where a [`TraceCtx`] sends emitted kernels.
+#[derive(Debug)]
+enum Sink<'a> {
+    Trace(Vec<KernelDesc>),
+    Running {
+        device: &'a Device,
+        profile: TraceProfile,
+    },
 }
 
 impl<'a> TraceCtx<'a> {
-    /// Create an empty context targeting `cfg`.
+    /// Create an empty context that collects a trace targeting `cfg`.
     pub fn new(cfg: &'a GpuConfig, tuner: &'a mut AutotuneTable) -> Self {
         TraceCtx {
             cfg,
             tuner,
-            kernels: Vec::new(),
+            sink: Sink::Trace(Vec::new()),
+        }
+    }
+
+    /// Create an empty context that prices every emitted kernel on
+    /// `device` straight away, in emission order.
+    pub fn running(device: &'a Device, tuner: &'a mut AutotuneTable) -> Self {
+        TraceCtx {
+            cfg: device.config(),
+            tuner,
+            sink: Sink::Running {
+                device,
+                profile: TraceProfile::new(),
+            },
         }
     }
 
@@ -32,22 +65,48 @@ impl<'a> TraceCtx<'a> {
 
     /// Number of kernels emitted so far.
     pub fn len(&self) -> usize {
-        self.kernels.len()
+        match &self.sink {
+            Sink::Trace(kernels) => kernels.len(),
+            Sink::Running { profile, .. } => profile.launches() as usize,
+        }
     }
 
     /// Whether no kernels have been emitted.
     pub fn is_empty(&self) -> bool {
-        self.kernels.is_empty()
+        self.len() == 0
     }
 
-    /// Consume the context, returning the emitted trace.
+    /// Consume the context, returning the emitted trace. A running
+    /// context keeps no trace, so it returns an empty one.
     pub fn into_trace(self) -> Vec<KernelDesc> {
-        self.kernels
+        match self.sink {
+            Sink::Trace(kernels) => kernels,
+            Sink::Running { .. } => Vec::new(),
+        }
+    }
+
+    /// Consume the context, returning the profile of the emitted kernels.
+    /// A collecting context priced nothing, so it returns an empty one.
+    pub fn into_profile(self) -> TraceProfile {
+        match self.sink {
+            Sink::Trace(_) => TraceProfile::new(),
+            Sink::Running { profile, .. } => profile,
+        }
+    }
+
+    fn push(&mut self, kernel: KernelDesc) {
+        match &mut self.sink {
+            Sink::Trace(kernels) => kernels.push(kernel),
+            Sink::Running { device, profile } => {
+                let idx = profile.launches();
+                device.launch(profile, idx, &kernel);
+            }
+        }
     }
 
     /// Emit a raw kernel descriptor.
     pub fn emit(&mut self, kernel: KernelDesc) {
-        self.kernels.push(kernel);
+        self.push(kernel);
     }
 
     /// Emit an autotuned GEMM `C[m×n] += A[m×k]·B[k×n]` with layout
@@ -57,71 +116,67 @@ impl<'a> TraceCtx<'a> {
         let kernel = self
             .tuner
             .gemm_flavored(self.cfg, flavor, GemmShape::new(m, k, n));
-        self.kernels.push(kernel);
+        self.push(kernel);
     }
 
     /// Emit an element-wise map kernel.
     pub fn emit_ew(&mut self, op: &str, elems: u64, flops_per_elem: f64, inputs: u32) {
-        self.kernels
-            .push(elementwise::map(op, elems, flops_per_elem, inputs));
+        self.push(elementwise::map(op, elems, flops_per_elem, inputs));
     }
 
     /// Emit a dropout kernel.
     pub fn emit_dropout(&mut self, elems: u64) {
-        self.kernels.push(elementwise::dropout(elems));
+        self.push(elementwise::dropout(elems));
     }
 
     /// Emit a row-wise reduction.
     pub fn emit_reduce(&mut self, op: &str, rows: u64, width: u64) {
-        self.kernels.push(reduce::reduce(op, rows, width));
+        self.push(reduce::reduce(op, rows, width));
     }
 
     /// Emit a row-wise softmax.
     pub fn emit_softmax(&mut self, rows: u64, width: u64) {
-        self.kernels.push(reduce::softmax(rows, width));
+        self.push(reduce::softmax(rows, width));
     }
 
     /// Emit a batch-norm kernel.
     pub fn emit_batchnorm(&mut self, elems: u64, channels: u64, backward: bool) {
-        self.kernels
-            .push(reduce::batchnorm(elems, channels, backward));
+        self.push(reduce::batchnorm(elems, channels, backward));
     }
 
     /// Emit an embedding-table gather.
     pub fn emit_gather(&mut self, rows: u64, row_bytes: u64, table_bytes: u64) {
-        self.kernels
-            .push(memops::gather(rows, row_bytes, table_bytes));
+        self.push(memops::gather(rows, row_bytes, table_bytes));
     }
 
     /// Emit an embedding-gradient scatter-add.
     pub fn emit_scatter_add(&mut self, rows: u64, row_bytes: u64, table_bytes: u64) {
-        self.kernels
-            .push(memops::scatter_add(rows, row_bytes, table_bytes));
+        self.push(memops::scatter_add(rows, row_bytes, table_bytes));
     }
 
     /// Emit a device copy.
     pub fn emit_copy(&mut self, bytes: u64) {
-        self.kernels.push(memops::copy(bytes));
+        self.push(memops::copy(bytes));
     }
 
     /// Emit a concatenation.
     pub fn emit_concat(&mut self, bytes: u64) {
-        self.kernels.push(memops::concat(bytes));
+        self.push(memops::concat(bytes));
     }
 
     /// Emit a tiled transpose.
     pub fn emit_transpose(&mut self, rows: u64, cols: u64) {
-        self.kernels.push(memops::transpose(rows, cols));
+        self.push(memops::transpose(rows, cols));
     }
 
     /// Emit one convolution pass.
     pub fn emit_conv(&mut self, shape: &conv::ConvShape, pass: conv::ConvPass) {
-        self.kernels.push(conv::kernel(self.cfg, shape, pass));
+        self.push(conv::kernel(self.cfg, shape, pass));
     }
 
     /// Emit an optimizer parameter-update sweep.
     pub fn emit_optimizer(&mut self, params: u64) {
-        self.kernels.push(elementwise::sgd_momentum_update(params));
+        self.push(elementwise::sgd_momentum_update(params));
     }
 }
 
@@ -155,5 +210,42 @@ mod tests {
             ctx.emit_gemm("nn", 256, 256, 256);
         }
         assert_eq!(tuner.shapes_tuned(), 1);
+    }
+
+    fn emit_some(ctx: &mut TraceCtx<'_>) {
+        ctx.emit_gemm("nn", 128, 128, 128);
+        ctx.emit_ew("tanh", 1024, 4.0, 1);
+        ctx.emit_gemm("nn", 128, 128, 128);
+        ctx.emit_softmax(64, 100);
+    }
+
+    #[test]
+    fn running_context_prices_what_a_trace_would_hold() {
+        let device = Device::with_jitter(GpuConfig::vega_fe(), gpu_sim::JitterModel::new(0.02, 3));
+        let (mut traced, mut ran) = (AutotuneTable::new(), AutotuneTable::new());
+        let mut ctx = TraceCtx::new(device.config(), &mut traced);
+        emit_some(&mut ctx);
+        let trace = ctx.into_trace();
+        let mut ctx = TraceCtx::running(&device, &mut ran);
+        assert!(ctx.is_empty());
+        emit_some(&mut ctx);
+        assert_eq!(ctx.len(), trace.len());
+        assert_eq!(ctx.into_profile(), device.run_trace(&trace));
+        assert_eq!(
+            ran.tuning_cost_s().to_bits(),
+            traced.tuning_cost_s().to_bits()
+        );
+    }
+
+    #[test]
+    fn mismatched_finish_is_empty() {
+        let device = Device::new(GpuConfig::vega_fe());
+        let mut tuner = AutotuneTable::new();
+        let mut ctx = TraceCtx::running(&device, &mut tuner);
+        emit_some(&mut ctx);
+        assert!(ctx.into_trace().is_empty());
+        let mut ctx = TraceCtx::new(device.config(), &mut tuner);
+        emit_some(&mut ctx);
+        assert_eq!(ctx.into_profile(), TraceProfile::new());
     }
 }

@@ -1,9 +1,13 @@
 //! Property-based invariants of the network models' trace emission.
 
-use gpu_sim::{AutotuneTable, Device, GpuConfig, KernelDesc, KernelKind};
+use gpu_sim::{
+    AutotuneTable, Device, GpuConfig, JitterModel, KernelDesc, KernelKind, TraceProfile,
+};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use sqnn::models::{
-    cnn_reference, conv_s2s_with, ds2_with, gnmt_with, seq2seq_with, transformer_with,
+    cnn_reference, conv_s2s, conv_s2s_with, ds2, ds2_softmax, ds2_with, gnmt, gnmt_with, seq2seq,
+    seq2seq_with, transformer_base, transformer_with,
 };
 use sqnn::{IterationShape, Network};
 
@@ -17,10 +21,84 @@ fn small_models() -> Vec<Network> {
     ]
 }
 
+/// Every network of the zoo at its paper configuration.
+fn zoo() -> Vec<Network> {
+    vec![
+        gnmt(),
+        ds2(),
+        ds2_softmax(),
+        transformer_base(),
+        conv_s2s(),
+        seq2seq(),
+        cnn_reference(),
+    ]
+}
+
+/// Equal profiles, with the total and every per-kernel time equal to the
+/// bit (`==` on floats would also accept `0.0` against `-0.0`).
+fn same_bits(ran: &TraceProfile, traced: &TraceProfile, what: &str) -> Result<(), TestCaseError> {
+    prop_assert_eq!(ran, traced, "{}", what);
+    prop_assert_eq!(
+        ran.total_time_s().to_bits(),
+        traced.total_time_s().to_bits(),
+        "{}: total",
+        what
+    );
+    for ((name, a), b) in ran.by_kernel().iter().zip(traced.by_kernel().values()) {
+        prop_assert_eq!(a.time_s.to_bits(), b.time_s.to_bits(), "{}: {}", what, name);
+    }
+    Ok(())
+}
+
 fn trace(net: &Network, shape: IterationShape) -> Vec<KernelDesc> {
     let cfg = GpuConfig::vega_fe();
     let mut tuner = AutotuneTable::new();
     net.iteration_trace(&shape, &cfg, &mut tuner)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn pricing_kernels_as_emitted_equals_running_the_trace(
+        batch in 1u32..64,
+        src_len in 1u32..200,
+        dst_len in 1u32..200,
+        seed in 0u64..1000,
+    ) {
+        let shape = IterationShape::with_lengths(batch, src_len, dst_len);
+        let cfg = GpuConfig::vega_fe();
+        let devices = [
+            Device::new(cfg.clone()),
+            Device::with_jitter(cfg, JitterModel::new(0.02, seed)),
+        ];
+        for device in &devices {
+            for net in zoo() {
+                for training in [true, false] {
+                    let what = format!("{} training={training} jitter={:?}", net.name(), device.jitter());
+                    let (mut ran_tuner, mut traced_tuner) = (AutotuneTable::new(), AutotuneTable::new());
+                    let (ran, trace) = if training {
+                        (
+                            net.iteration_profile(&shape, device, &mut ran_tuner),
+                            net.iteration_trace(&shape, device.config(), &mut traced_tuner),
+                        )
+                    } else {
+                        (
+                            net.inference_profile(&shape, device, &mut ran_tuner),
+                            net.inference_trace(&shape, device.config(), &mut traced_tuner),
+                        )
+                    };
+                    same_bits(&ran, &device.run_trace(&trace), &what)?;
+                    prop_assert_eq!(
+                        ran_tuner.tuning_cost_s().to_bits(),
+                        traced_tuner.tuning_cost_s().to_bits(),
+                        "{}: tuning cost",
+                        what
+                    );
+                }
+            }
+        }
+    }
 }
 
 proptest! {
