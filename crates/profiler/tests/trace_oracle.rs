@@ -120,3 +120,73 @@ fn per_shape_profiles_match_the_pinned_oracle() {
         rendered.join("\n")
     );
 }
+
+/// `(model, src_len, [(kernel name, invocations)])` at batch 64, each
+/// list in name order. The kernel names appear in the Fig. 5/6/8
+/// artifacts, so they are pinned as well as the numbers above.
+type NameRow = (&'static str, u32, &'static [(&'static str, u64)]);
+
+#[rustfmt::skip]
+const NAME_ORACLE: &[NameRow] = &[
+    ("gnmt", 1, &[("concat_v2", 1), ("ew_bias_add_v2", 1), ("ew_dropout_bwd_v1", 4), ("ew_dropout_v1", 4), ("ew_lstm_gates_bwd_v2", 17), ("ew_lstm_gates_v2", 17), ("ew_softmax_bwd_v1", 1), ("ew_softmax_ce_grad_v2", 1), ("ew_state_update_v1", 17), ("ew_tanh_bwd_v1", 1), ("ew_tanh_v1", 1), ("gather_rows", 2), ("gemm_bnn_16x16x16", 2), ("gemm_bnt_16x16x16", 2), ("gemm_nn_128x64x16", 1), ("gemm_nn_16x16x16", 2), ("gemm_nn_32x32x16", 34), ("gemm_nt_16x16x16", 1), ("gemm_nt_32x32x16", 36), ("gemm_tn_128x128x16", 35), ("gemm_tn_128x64x16", 1), ("gemm_tn_64x64x16", 1), ("opt_sgd_momentum", 20), ("reduce_bias_grad_1p", 18), ("reduce_ce_loss_1p", 1), ("scatter_add_rows", 2), ("softmax_2pass", 1), ("softmax_w1k", 1)]),
+    ("gnmt", 20, &[("concat_v2", 1), ("ew_bias_add_v4", 1), ("ew_dropout_bwd_v2", 4), ("ew_dropout_v2", 4), ("ew_lstm_gates_bwd_v2", 340), ("ew_lstm_gates_v2", 340), ("ew_softmax_bwd_v1", 20), ("ew_softmax_ce_grad_v4", 1), ("ew_state_update_v1", 340), ("ew_tanh_bwd_v1", 20), ("ew_tanh_v1", 20), ("gather_rows", 2), ("gemm_bnn_16x16x16", 40), ("gemm_bnt_16x16x16", 40), ("gemm_nn_128x128x16", 18), ("gemm_nn_16x16x16", 40), ("gemm_nn_32x32x16", 340), ("gemm_nt_128x64x16", 2), ("gemm_nt_16x16x16", 20), ("gemm_nt_32x32x16", 360), ("gemm_nt_64x64x16", 16), ("gemm_tn_128x128x16", 35), ("gemm_tn_128x64x16", 20), ("gemm_tn_64x64x16", 20), ("opt_sgd_momentum", 20), ("reduce_bias_grad_1p", 18), ("reduce_ce_loss_1p", 1), ("scatter_add_rows", 2), ("softmax_2pass", 1), ("softmax_w1k", 20)]),
+    ("gnmt", 60, &[("concat_v2", 1), ("ew_bias_add_v4", 1), ("ew_dropout_bwd_v2", 4), ("ew_dropout_v2", 4), ("ew_lstm_gates_bwd_v2", 1020), ("ew_lstm_gates_v2", 1020), ("ew_softmax_bwd_v1", 60), ("ew_softmax_ce_grad_v4", 1), ("ew_state_update_v1", 1020), ("ew_tanh_bwd_v1", 60), ("ew_tanh_v1", 60), ("gather_rows", 2), ("gemm_bnn_16x16x16", 120), ("gemm_bnt_16x16x16", 120), ("gemm_nn_128x128x16", 18), ("gemm_nn_16x16x16", 120), ("gemm_nn_32x32x16", 1020), ("gemm_nt_128x128x16", 2), ("gemm_nt_128x64x16", 16), ("gemm_nt_16x16x16", 60), ("gemm_nt_32x32x16", 1080), ("gemm_tn_128x128x16", 35), ("gemm_tn_128x64x16", 60), ("gemm_tn_64x64x16", 60), ("opt_sgd_momentum", 20), ("reduce_bias_grad_1p", 18), ("reduce_ce_loss_1p", 1), ("scatter_add_rows", 2), ("softmax_2pass", 1), ("softmax_w1k", 60)]),
+    ("gnmt", 120, &[("concat_v2", 1), ("ew_bias_add_v4", 1), ("ew_dropout_bwd_v4", 4), ("ew_dropout_v4", 4), ("ew_lstm_gates_bwd_v2", 2040), ("ew_lstm_gates_v2", 2040), ("ew_softmax_bwd_v1", 120), ("ew_softmax_ce_grad_v4", 1), ("ew_state_update_v1", 2040), ("ew_tanh_bwd_v1", 120), ("ew_tanh_v1", 120), ("gather_rows", 2), ("gemm_bnn_16x16x16", 240), ("gemm_bnt_16x16x16", 240), ("gemm_nn_128x128x16", 18), ("gemm_nn_16x16x16", 240), ("gemm_nn_32x32x16", 2040), ("gemm_nt_128x128x16", 18), ("gemm_nt_16x16x16", 120), ("gemm_nt_32x32x16", 2160), ("gemm_tn_128x128x16", 35), ("gemm_tn_128x64x16", 120), ("gemm_tn_64x64x16", 120), ("opt_sgd_momentum", 20), ("reduce_bias_grad_2p", 18), ("reduce_ce_loss_2p", 1), ("scatter_add_rows", 2), ("softmax_2pass", 1), ("softmax_w1k", 120)]),
+    ("ds2", 1, &[("bnorm_bwd", 1), ("bnorm_fwd", 1), ("concat_v2", 5), ("conv_gemm_igemm_bwdd_128x64x16", 2), ("conv_gemm_igemm_bwdw_16x16x16", 1), ("conv_gemm_igemm_bwdw_32x32x16", 1), ("conv_gemm_igemm_fwd_32x32x16", 2), ("ew_bias_add_v1", 3), ("ew_ctc_grad_v1", 1), ("ew_gru_gates_bwd_v1", 10), ("ew_gru_gates_v1", 10), ("ew_hardtanh_bwd_v1", 2), ("ew_hardtanh_v1", 2), ("ew_state_update_v1", 10), ("gemm_nn_16x16x16", 1), ("gemm_nn_32x32x16", 20), ("gemm_nt_16x16x16", 11), ("gemm_nt_32x32x16", 10), ("gemm_tn_128x64x16", 20), ("gemm_tn_16x16x16", 1), ("opt_sgd_momentum", 9), ("reduce_bias_grad_1p", 12), ("reduce_bias_grad_2p", 1), ("reduce_ctc_alpha_1p", 1), ("reduce_ctc_beta_1p", 1), ("softmax_w1k", 1)]),
+    ("ds2", 20, &[("bnorm_bwd", 1), ("bnorm_fwd", 1), ("concat_v2", 5), ("conv_gemm_igemm_bwdd_128x128x16", 2), ("conv_gemm_igemm_bwdw_16x16x16", 1), ("conv_gemm_igemm_bwdw_32x32x16", 1), ("conv_gemm_igemm_fwd_32x32x16", 2), ("ew_bias_add_v1", 1), ("ew_bias_add_v2", 2), ("ew_ctc_grad_v1", 1), ("ew_gru_gates_bwd_v1", 200), ("ew_gru_gates_v1", 200), ("ew_hardtanh_bwd_v2", 2), ("ew_hardtanh_v2", 2), ("ew_state_update_v1", 200), ("gemm_nn_128x64x16", 10), ("gemm_nn_16x16x16", 1), ("gemm_nn_32x32x16", 200), ("gemm_nt_16x16x16", 200), ("gemm_nt_64x64x16", 11), ("gemm_tn_128x64x16", 20), ("gemm_tn_16x16x16", 1), ("opt_sgd_momentum", 9), ("reduce_bias_grad_1p", 11), ("reduce_bias_grad_2p", 2), ("reduce_ctc_alpha_1p", 1), ("reduce_ctc_beta_1p", 1), ("softmax_w1k", 1)]),
+    ("ds2", 60, &[("bnorm_bwd", 1), ("bnorm_fwd", 1), ("concat_v2", 5), ("conv_gemm_igemm_bwdd_128x128x16", 2), ("conv_gemm_igemm_bwdw_16x16x16", 1), ("conv_gemm_igemm_bwdw_32x32x16", 1), ("conv_gemm_igemm_fwd_32x32x16", 2), ("ew_bias_add_v1", 1), ("ew_bias_add_v4", 2), ("ew_ctc_grad_v1", 1), ("ew_gru_gates_bwd_v1", 600), ("ew_gru_gates_v1", 600), ("ew_hardtanh_bwd_v4", 2), ("ew_hardtanh_v4", 2), ("ew_state_update_v1", 600), ("gemm_nn_128x128x16", 10), ("gemm_nn_32x32x16", 601), ("gemm_nt_128x128x16", 11), ("gemm_nt_16x16x16", 600), ("gemm_tn_128x64x16", 20), ("gemm_tn_16x16x16", 1), ("opt_sgd_momentum", 9), ("reduce_bias_grad_1p", 11), ("reduce_bias_grad_2p", 2), ("reduce_ctc_alpha_1p", 1), ("reduce_ctc_beta_1p", 1), ("softmax_w1k", 1)]),
+    ("ds2", 120, &[("bnorm_bwd", 1), ("bnorm_fwd", 1), ("concat_v2", 5), ("conv_gemm_igemm_bwdd_128x128x16", 2), ("conv_gemm_igemm_bwdw_16x16x16", 1), ("conv_gemm_igemm_bwdw_32x32x16", 1), ("conv_gemm_igemm_fwd_32x32x16", 2), ("ew_bias_add_v1", 1), ("ew_bias_add_v4", 2), ("ew_ctc_grad_v1", 1), ("ew_gru_gates_bwd_v1", 1200), ("ew_gru_gates_v1", 1200), ("ew_hardtanh_bwd_v4", 2), ("ew_hardtanh_v4", 2), ("ew_state_update_v1", 1200), ("gemm_nn_128x128x16", 10), ("gemm_nn_32x32x16", 1201), ("gemm_nt_128x128x16", 11), ("gemm_nt_16x16x16", 1200), ("gemm_tn_128x64x16", 20), ("gemm_tn_32x32x16", 1), ("opt_sgd_momentum", 9), ("reduce_bias_grad_2p", 13), ("reduce_ctc_alpha_1p", 1), ("reduce_ctc_beta_1p", 1), ("softmax_w1k", 1)]),
+];
+
+fn kernel_names(model: &'static str, src_len: u32) -> Vec<(String, u64)> {
+    let net = match model {
+        "gnmt" => gnmt(),
+        "ds2" => ds2(),
+        other => panic!("no oracle model {other}"),
+    };
+    let it = Profiler::new().with_kernel_detail().profile_iteration(
+        &net,
+        &shape(src_len),
+        &device(false),
+    );
+    let detail = it.trace.as_ref().expect("kernel detail was requested");
+    detail
+        .by_kernel()
+        .iter()
+        .map(|(name, agg)| (name.clone(), agg.invocations))
+        .collect()
+}
+
+#[test]
+fn kernel_names_and_invocations_match_the_pinned_oracle() {
+    let mut got = Vec::new();
+    for model in ["gnmt", "ds2"] {
+        for src_len in [1, 20, 60, 120] {
+            got.push((model, src_len, kernel_names(model, src_len)));
+        }
+    }
+    let pinned: Vec<_> = NAME_ORACLE
+        .iter()
+        .map(|&(model, src_len, kernels)| {
+            let kernels: Vec<(String, u64)> =
+                kernels.iter().map(|&(n, c)| (n.to_owned(), c)).collect();
+            (model, src_len, kernels)
+        })
+        .collect();
+    let rendered: Vec<String> = got
+        .iter()
+        .map(|(model, src_len, kernels)| {
+            let list: Vec<String> = kernels
+                .iter()
+                .map(|(n, c)| format!("({n:?}, {c})"))
+                .collect();
+            format!("(\"{model}\", {src_len}, &[{}]),", list.join(", "))
+        })
+        .collect();
+    assert_eq!(
+        got,
+        pinned,
+        "pinned kernel names differ; measured:\n{}",
+        rendered.join("\n")
+    );
+}
