@@ -18,7 +18,9 @@ const TUNE_TRIALS: u32 = 1;
 /// computation, and that it can be ignored when building representative
 /// profiles *because it only runs once*. This table models exactly that:
 /// the first time a shape is seen it is tuned (cost recorded), afterwards
-/// lookups are free.
+/// lookups are free. Choices are keyed by `(flavor, shape)`, with the
+/// flavor a `&'static str`, so a lookup neither copies the flavor nor
+/// allocates.
 ///
 /// ```
 /// use gpu_sim::{gemm::GemmShape, AutotuneTable, GpuConfig};
@@ -34,7 +36,7 @@ const TUNE_TRIALS: u32 = 1;
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct AutotuneTable {
     #[serde(skip)]
-    choices: HashMap<(String, GemmShape), &'static GemmVariant>,
+    choices: HashMap<(&'static str, GemmShape), &'static GemmVariant>,
     tuning_cost_s: f64,
 }
 
@@ -51,18 +53,19 @@ impl AutotuneTable {
     }
 
     /// Return the tuned GEMM kernel for `shape` with an explicit flavor
-    /// (`"nn"`, `"nt"`, `"tn"`, …), tuning on first sight.
-    pub fn gemm_flavored(&mut self, cfg: &GpuConfig, flavor: &str, shape: GemmShape) -> KernelDesc {
-        let key = (flavor.to_owned(), shape);
-        let variant = match self.choices.get(&key) {
-            Some(v) => v,
-            None => {
-                let v = gemm::best_variant(cfg, shape, flavor);
-                self.tuning_cost_s += gemm::tuning_cost_s(cfg, shape, flavor, TUNE_TRIALS);
-                self.choices.insert(key, v);
-                v
-            }
-        };
+    /// (`"nn"`, `"nt"`, `"tn"`, …), tuning on first sight. A lookup of a
+    /// tuned problem does not allocate.
+    pub fn gemm_flavored(
+        &mut self,
+        cfg: &GpuConfig,
+        flavor: &'static str,
+        shape: GemmShape,
+    ) -> KernelDesc {
+        let variant = *self.choices.entry((flavor, shape)).or_insert_with(|| {
+            let best = gemm::best_variant(cfg, shape, flavor);
+            self.tuning_cost_s += gemm::tuning_cost_s(cfg, shape, flavor, TUNE_TRIALS);
+            best
+        });
         gemm::kernel_for(shape, flavor, variant)
     }
 

@@ -47,9 +47,7 @@ impl GpuConfig {
     /// The paper's baseline machine (Table II config #1): Vega FE with
     /// 64 CUs at 1.6 GHz, 16 KiB L1 per CU, 4 MiB L2, 484 GB/s HBM2.
     pub fn vega_fe() -> Self {
-        GpuConfigBuilder::new("config#1")
-            .build()
-            .expect("preset is valid")
+        GpuConfigBuilder::new("config#1").preset()
     }
 
     /// The five hardware configurations of the paper's Table II.
@@ -63,9 +61,7 @@ impl GpuConfig {
     /// | #5 | 1.6 GHz | 64 | 16 KiB | 0 MiB |
     pub fn table2_configs() -> [GpuConfig; TABLE2_CONFIG_COUNT] {
         let build = |name: &str, f: &dyn Fn(GpuConfigBuilder) -> GpuConfigBuilder| {
-            f(GpuConfigBuilder::new(name))
-                .build()
-                .expect("preset is valid")
+            f(GpuConfigBuilder::new(name)).preset()
         };
         [
             build("config#1", &|b| b),
@@ -263,11 +259,28 @@ impl GpuConfigBuilder {
         }
         Ok(self.cfg)
     }
+
+    /// Finish building one of the fixed presets above without checking
+    /// it: their values are constants, which
+    /// `presets_pass_the_builders_checks` runs through [`Self::build`].
+    fn preset(self) -> GpuConfig {
+        self.cfg
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn presets_pass_the_builders_checks() {
+        let mut presets = GpuConfig::table2_configs().to_vec();
+        presets.push(GpuConfig::vega_fe());
+        for cfg in presets {
+            let rebuilt = GpuConfigBuilder { cfg: cfg.clone() }.build();
+            assert_eq!(rebuilt.ok(), Some(cfg));
+        }
+    }
 
     #[test]
     fn vega_fe_matches_paper_baseline() {

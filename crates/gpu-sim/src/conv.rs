@@ -8,7 +8,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::gemm::{self, GemmShape};
-use crate::{GpuConfig, KernelDesc};
+use crate::{kernel_name, GpuConfig, KernelDesc};
 
 /// A 2-D convolution problem with SAME padding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -109,7 +109,8 @@ impl ConvPass {
 }
 
 /// Build the kernel for one pass of a convolution, choosing the best
-/// implicit-GEMM tile variant for `cfg`.
+/// implicit-GEMM tile variant for `cfg`. The kernel is named
+/// `conv_gemm_<pass flavor>_<variant label>`.
 ///
 /// The kernel inherits the GEMM traffic model but with the input footprint
 /// corrected for im2col expansion (the halo re-reads are served by cache,
@@ -123,7 +124,8 @@ pub fn kernel(cfg: &GpuConfig, shape: &ConvShape, pass: ConvPass) -> KernelDesc 
     // The GEMM model's footprint counts the im2col-expanded matrix; the
     // compulsory traffic is really input + weights + output.
     let footprint = shape.input_bytes() + shape.weight_bytes() + shape.output_bytes();
-    KernelDesc::builder(format!("conv_{}", base.name()), base.kind())
+    let name = kernel_name("conv_gemm_", flavor, variant.label);
+    KernelDesc::builder(name, base.kind())
         .flops(base.flops())
         .read_bytes(base.read_bytes())
         .write_bytes(base.write_bytes())

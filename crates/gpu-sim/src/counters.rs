@@ -217,7 +217,7 @@ impl TraceProfile {
 mod tests {
     use super::*;
 
-    fn dummy_kernel(name: &str, kind: KernelKind) -> KernelDesc {
+    fn dummy_kernel(name: &'static str, kind: KernelKind) -> KernelDesc {
         KernelDesc::builder(name, kind)
             .flops(1e6)
             .read_bytes(1e6)

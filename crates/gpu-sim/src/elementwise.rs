@@ -5,7 +5,7 @@
 //! kernel *name* — and thus the unique-kernel set of an iteration —
 //! changes with sequence length, contributing to the paper's Fig. 5.
 
-use crate::{KernelDesc, KernelKind};
+use crate::{kernel_name, KernelDesc, KernelKind};
 
 /// Elements per workgroup used by the launch-geometry model.
 const ELEMS_PER_WORKGROUP: f64 = 1024.0;
@@ -24,7 +24,8 @@ fn vector_suffix(elems: u64) -> &'static str {
 
 /// Build an element-wise map kernel named after `op` (e.g. `"tanh"`,
 /// `"sigmoid"`, `"add"`): `elems` output elements, `inputs` input tensors
-/// of the same size, `flops_per_elem` arithmetic per element.
+/// of the same size, `flops_per_elem` arithmetic per element. The kernel
+/// is named `ew_<op>_<v1|v2|v4>` by tensor size.
 ///
 /// ```
 /// use gpu_sim::elementwise::map;
@@ -32,12 +33,12 @@ fn vector_suffix(elems: u64) -> &'static str {
 /// let k = map("tanh", 1 << 20, 4.0, 1);
 /// assert_eq!(k.name(), "ew_tanh_v2");
 /// ```
-pub fn map(op: &str, elems: u64, flops_per_elem: f64, inputs: u32) -> KernelDesc {
+pub fn map(op: &'static str, elems: u64, flops_per_elem: f64, inputs: u32) -> KernelDesc {
     let e = elems as f64;
     let reads = e * 4.0 * f64::from(inputs);
     let writes = e * 4.0;
     KernelDesc::builder(
-        format!("ew_{}_{}", op, vector_suffix(elems)),
+        kernel_name("ew_", op, vector_suffix(elems)),
         KernelKind::Elementwise,
     )
     .flops(e * flops_per_elem.max(0.0))
@@ -59,7 +60,7 @@ pub fn map(op: &str, elems: u64, flops_per_elem: f64, inputs: u32) -> KernelDesc
 pub fn dropout(elems: u64) -> KernelDesc {
     let e = elems as f64;
     KernelDesc::builder(
-        format!("ew_dropout_{}", vector_suffix(elems)),
+        kernel_name("ew_", "dropout", vector_suffix(elems)),
         KernelKind::Elementwise,
     )
     .flops(e * 3.0)

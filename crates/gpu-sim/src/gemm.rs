@@ -9,7 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{kernel_time, GpuConfig, KernelDesc, KernelKind};
+use crate::{kernel_name, kernel_time, GpuConfig, KernelDesc, KernelKind};
 
 /// A GEMM problem `C[m×n] += A[m×k] · B[k×n]` (column counts in elements,
 /// FP32 operands).
@@ -66,16 +66,19 @@ pub struct GemmVariant {
     pub base_efficiency: f64,
 }
 
+/// The library's largest tile, first in [`VARIANTS`].
+const MACRO_TILE: GemmVariant = GemmVariant {
+    label: "128x128x16",
+    tile_m: 128,
+    tile_n: 128,
+    tile_k: 16,
+    base_efficiency: 0.92,
+};
+
 /// The kernel library: macro tiles for large GEMMs down to skinny and
 /// GEMV-like variants for degenerate shapes.
 pub const VARIANTS: &[GemmVariant] = &[
-    GemmVariant {
-        label: "128x128x16",
-        tile_m: 128,
-        tile_n: 128,
-        tile_k: 16,
-        base_efficiency: 0.92,
-    },
+    MACRO_TILE,
     GemmVariant {
         label: "128x64x16",
         tile_m: 128,
@@ -153,8 +156,8 @@ fn div_ceil(a: u64, b: u64) -> u64 {
 /// `flavor` distinguishes the operand layout / pass (e.g. `"nn"` forward,
 /// `"nt"` backward-data, `"tn"` backward-weights) exactly as transpose
 /// flavors produce distinct kernels in real BLAS libraries; it becomes part
-/// of the kernel name.
-pub fn kernel_for(shape: GemmShape, flavor: &str, variant: &GemmVariant) -> KernelDesc {
+/// of the kernel name, `gemm_<flavor>_<variant label>`.
+pub fn kernel_for(shape: GemmShape, flavor: &'static str, variant: &GemmVariant) -> KernelDesc {
     let GemmShape { m, k, n } = shape;
     let tiles_m = div_ceil(m, variant.tile_m);
     let tiles_n = div_ceil(n, variant.tile_n);
@@ -191,7 +194,7 @@ pub fn kernel_for(shape: GemmShape, flavor: &str, variant: &GemmVariant) -> Kern
     };
 
     KernelDesc::builder(
-        format!("gemm_{}_{}", flavor, variant.label),
+        kernel_name("gemm_", flavor, variant.label),
         KernelKind::Gemm,
     )
     .flops(shape.flops())
@@ -208,8 +211,12 @@ pub fn kernel_for(shape: GemmShape, flavor: &str, variant: &GemmVariant) -> Kern
 /// Pick the fastest variant for `shape` on `cfg` by evaluating the timing
 /// model for every library variant (what a BLAS autotuner does with real
 /// timing runs).
-pub fn best_variant(cfg: &GpuConfig, shape: GemmShape, flavor: &str) -> &'static GemmVariant {
-    let mut best = &VARIANTS[0];
+pub fn best_variant(
+    cfg: &GpuConfig,
+    shape: GemmShape,
+    flavor: &'static str,
+) -> &'static GemmVariant {
+    let mut best = &MACRO_TILE;
     let mut best_t = f64::INFINITY;
     for v in VARIANTS {
         let t = kernel_time(cfg, &kernel_for(shape, flavor, v)).time_s;
@@ -229,7 +236,7 @@ const MINI_PROBLEM_FACTOR: f64 = 0.25;
 /// Total time an autotune pass spends measuring every variant of `shape`
 /// (`trials` truncated timing runs per variant), mirroring the paper's
 /// "autotune" phase (Section IV-C2): expensive, but one-time.
-pub fn tuning_cost_s(cfg: &GpuConfig, shape: GemmShape, flavor: &str, trials: u32) -> f64 {
+pub fn tuning_cost_s(cfg: &GpuConfig, shape: GemmShape, flavor: &'static str, trials: u32) -> f64 {
     VARIANTS
         .iter()
         .map(|v| kernel_time(cfg, &kernel_for(shape, flavor, v)).time_s)

@@ -1,3 +1,5 @@
+use std::borrow::Cow;
+
 use serde::{Deserialize, Serialize};
 
 /// The broad class of GPU computation a kernel performs.
@@ -69,6 +71,12 @@ impl std::fmt::Display for KernelKind {
 /// name are "the same kernel" for the paper's unique-kernel analysis
 /// (Fig. 5) even if their operand shapes differ.
 ///
+/// The name is held as a `Cow<'static, str>`. Every emitter in this
+/// crate names its kernels with a `&'static str` (a literal, or one from
+/// [`crate::kernel_name`]'s table), so building, cloning and pricing a
+/// descriptor never allocates. A name read back from a file
+/// ([`crate::trace_format::read_trace`]) is owned.
+///
 /// Construct descriptors through [`KernelDesc::builder`] or the domain
 /// builders in [`crate::gemm`], [`crate::conv`], [`crate::elementwise`],
 /// [`crate::reduce`], and [`crate::memops`]:
@@ -86,7 +94,7 @@ impl std::fmt::Display for KernelKind {
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KernelDesc {
-    name: String,
+    name: KernelName,
     kind: KernelKind,
     flops: f64,
     read_bytes: f64,
@@ -102,10 +110,10 @@ pub struct KernelDesc {
 
 impl KernelDesc {
     /// Start building a kernel descriptor.
-    pub fn builder(name: impl Into<String>, kind: KernelKind) -> KernelDescBuilder {
+    pub fn builder(name: impl Into<Cow<'static, str>>, kind: KernelKind) -> KernelDescBuilder {
         KernelDescBuilder {
             desc: KernelDesc {
-                name: name.into(),
+                name: KernelName(name.into()),
                 kind,
                 flops: 0.0,
                 read_bytes: 0.0,
@@ -123,7 +131,7 @@ impl KernelDesc {
 
     /// The kernel-code identity (variant name), e.g. `"gemm_128x128x16"`.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.name.0
     }
 
     /// The broad computation class.
@@ -182,6 +190,29 @@ impl KernelDesc {
     /// (tile quantization, instruction mix), in `(0, 1]`.
     pub fn efficiency(&self) -> f64 {
         self.efficiency
+    }
+}
+
+/// A kernel name, serialized as a plain string. (The serde shim has no
+/// `Cow` impls, so these two are written out.)
+#[derive(Clone, PartialEq)]
+struct KernelName(Cow<'static, str>);
+
+impl std::fmt::Debug for KernelName {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
+impl Serialize for KernelName {
+    fn to_value(&self) -> serde::Value {
+        self.0.to_value()
+    }
+}
+
+impl<'de> Deserialize<'de> for KernelName {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        String::from_value(value).map(|name| KernelName(Cow::Owned(name)))
     }
 }
 

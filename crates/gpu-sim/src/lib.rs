@@ -9,6 +9,11 @@
 //! [`Device::launch`] records one kernel into a [`TraceProfile`] as it is
 //! emitted, so a caller never has to hold a whole iteration's trace;
 //! [`Device::run_trace`] runs a collected trace through the same path.
+//! Every emitter names its kernels with a `&'static str`, a literal or
+//! one that [`kernel_name`] joins from static parts in a process-wide
+//! table, and the [`AutotuneTable`] looks tuned GEMMs up by
+//! `(&'static str, shape)`, so emitting and pricing a kernel does not
+//! allocate.
 //!
 //! The model captures exactly the mechanisms the paper attributes iteration
 //! heterogeneity to:
@@ -52,6 +57,7 @@ mod counters;
 mod device;
 mod error;
 mod kernel;
+mod names;
 mod timing;
 
 pub mod conv;
@@ -69,4 +75,5 @@ pub use counters::{KernelAgg, KernelCounters, TraceProfile};
 pub use device::{Device, JitterModel};
 pub use error::SimError;
 pub use kernel::{KernelDesc, KernelDescBuilder, KernelKind};
+pub use names::kernel_name;
 pub use timing::{kernel_time, KernelTiming};

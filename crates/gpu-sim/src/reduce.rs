@@ -6,7 +6,7 @@
 //! width (single-pass for narrow rows, two-pass for wide ones), so the
 //! kernel identity varies with sequence length.
 
-use crate::{KernelDesc, KernelKind};
+use crate::{kernel_name, KernelDesc, KernelKind};
 
 /// Row width at which a single-workgroup-per-row reduction no longer fits
 /// and a two-pass kernel is dispatched.
@@ -21,7 +21,7 @@ const SINGLE_PASS_WIDTH: u64 = 4096;
 /// assert_eq!(reduce("sum", 64, 512).name(), "reduce_sum_1p");
 /// assert_eq!(reduce("sum", 64, 100_000).name(), "reduce_sum_2p");
 /// ```
-pub fn reduce(op: &str, rows: u64, width: u64) -> KernelDesc {
+pub fn reduce(op: &'static str, rows: u64, width: u64) -> KernelDesc {
     let (r, w) = (rows as f64, width as f64);
     let two_pass = width > SINGLE_PASS_WIDTH;
     let suffix = if two_pass { "2p" } else { "1p" };
@@ -31,7 +31,8 @@ pub fn reduce(op: &str, rows: u64, width: u64) -> KernelDesc {
     } else {
         0.0
     };
-    KernelDesc::builder(format!("reduce_{op}_{suffix}"), KernelKind::Reduce)
+    let name = kernel_name("reduce_", op, suffix);
+    KernelDesc::builder(name, KernelKind::Reduce)
         .flops(r * w)
         .read_bytes(r * w * 4.0 + partials)
         .write_bytes(r * 4.0 + partials)

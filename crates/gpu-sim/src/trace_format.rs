@@ -136,18 +136,20 @@ pub fn read_trace<R: Read>(r: R) -> Result<Vec<KernelDesc>, TraceFormatError> {
             continue;
         }
         let fields: Vec<&str> = line.split('\t').collect();
-        if fields.len() != 12 {
+        let &[name, kind, flops, read, write, footprint, l1_loc, l1_ws, l2_loc, l2_ws, wgs, eff] =
+            fields.as_slice()
+        else {
             return Err(TraceFormatError::BadRecord {
                 line: line_no,
                 reason: format!("expected 12 tab-separated fields, got {}", fields.len()),
             });
-        }
-        let kind = kind_from_label(fields[1]).ok_or_else(|| TraceFormatError::BadRecord {
+        };
+        let kind = kind_from_label(kind).ok_or_else(|| TraceFormatError::BadRecord {
             line: line_no,
-            reason: format!("unknown kernel kind `{}`", fields[1]),
+            reason: format!("unknown kernel kind `{kind}`"),
         })?;
-        let num = |idx: usize| -> Result<f64, TraceFormatError> {
-            fields[idx]
+        let num = |idx: usize, field: &str| -> Result<f64, TraceFormatError> {
+            field
                 .parse::<f64>()
                 .map_err(|e| TraceFormatError::BadRecord {
                     line: line_no,
@@ -155,15 +157,15 @@ pub fn read_trace<R: Read>(r: R) -> Result<Vec<KernelDesc>, TraceFormatError> {
                 })
         };
         trace.push(
-            KernelDesc::builder(fields[0], kind)
-                .flops(num(2)?)
-                .read_bytes(num(3)?)
-                .write_bytes(num(4)?)
-                .footprint_bytes(num(5)?)
-                .l1_reuse(num(6)?, num(7)?)
-                .l2_reuse(num(8)?, num(9)?)
-                .workgroups(num(10)?)
-                .efficiency(num(11)?)
+            KernelDesc::builder(name.to_owned(), kind)
+                .flops(num(2, flops)?)
+                .read_bytes(num(3, read)?)
+                .write_bytes(num(4, write)?)
+                .footprint_bytes(num(5, footprint)?)
+                .l1_reuse(num(6, l1_loc)?, num(7, l1_ws)?)
+                .l2_reuse(num(8, l2_loc)?, num(9, l2_ws)?)
+                .workgroups(num(10, wgs)?)
+                .efficiency(num(11, eff)?)
                 .build(),
         );
     }

@@ -120,7 +120,7 @@ impl Layer for Conv2d {
         let conv = self.shape_for(shape);
         let elems = self.out_elems(shape);
         if let Some(op) = self.activation {
-            ctx.emit_ew(&format!("{op}_bwd"), elems, 2.0, 2);
+            ctx.emit_ew(gpu_sim::kernel_name("", op, "bwd"), elems, 2.0, 2);
         }
         ctx.emit_conv(&conv, ConvPass::BackwardData);
         ctx.emit_conv(&conv, ConvPass::BackwardWeights);

@@ -87,7 +87,12 @@ impl Layer for Dense {
         let rows = self.rows.rows(shape);
         if let Some(op) = self.activation {
             // d/dx of the activation, fused with the incoming gradient.
-            ctx.emit_ew(&format!("{op}_bwd"), rows * self.out_features, 2.0, 2);
+            ctx.emit_ew(
+                gpu_sim::kernel_name("", op, "bwd"),
+                rows * self.out_features,
+                2.0,
+                2,
+            );
         }
         // dX = Wᵀ · dY
         ctx.emit_gemm("nt", self.in_features, self.out_features, rows);

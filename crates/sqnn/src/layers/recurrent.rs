@@ -18,6 +18,7 @@ use crate::{IterationShape, Layer, Stream, TraceCtx};
 struct RecurrentCore {
     name: String,
     gate_label: &'static str,
+    gate_bwd_label: &'static str,
     gates: u64,
     input: u64,
     hidden: u64,
@@ -69,7 +70,7 @@ impl RecurrentCore {
         for _dir in 0..self.directions() {
             for _step in 0..t {
                 // Gate derivative.
-                ctx.emit_ew(&format!("{}_bwd", self.gate_label), b * gh, 8.0, 3);
+                ctx.emit_ew(self.gate_bwd_label, b * gh, 8.0, 3);
                 // dh_{t-1} += W_hhᵀ · dgates_t.
                 ctx.emit_gemm("nt", self.hidden, gh, b);
             }
@@ -100,6 +101,7 @@ impl Lstm {
             core: RecurrentCore {
                 name: name.into(),
                 gate_label: "lstm_gates",
+                gate_bwd_label: "lstm_gates_bwd",
                 gates: 4,
                 input: input.max(1),
                 hidden: hidden.max(1),
@@ -153,6 +155,7 @@ impl Gru {
             core: RecurrentCore {
                 name: name.into(),
                 gate_label: "gru_gates",
+                gate_bwd_label: "gru_gates_bwd",
                 gates: 3,
                 input: input.max(1),
                 hidden: hidden.max(1),

@@ -17,7 +17,11 @@ use gpu_sim::{
 ///
 /// Layers call the `emit_*` helpers rather than constructing
 /// [`KernelDesc`]s directly, which keeps kernel naming and the traffic
-/// models consistent across the whole network zoo.
+/// models consistent across the whole network zoo. The helpers take
+/// `&'static str` op labels and GEMM flavors, and every kernel name is a
+/// `&'static str` (a literal, or one from [`gpu_sim::kernel_name`]'s
+/// table), so emitting a kernel allocates nothing once the autotune
+/// table has seen its GEMM shape.
 #[derive(Debug)]
 pub struct TraceCtx<'a> {
     cfg: &'a GpuConfig,
@@ -112,7 +116,7 @@ impl<'a> TraceCtx<'a> {
     /// Emit an autotuned GEMM `C[m×n] += A[m×k]·B[k×n]` with layout
     /// `flavor` (`"nn"` forward, `"nt"` backward-data, `"tn"`
     /// backward-weights, `"bnn"`/`"bnt"` strided-batched).
-    pub fn emit_gemm(&mut self, flavor: &str, m: u64, k: u64, n: u64) {
+    pub fn emit_gemm(&mut self, flavor: &'static str, m: u64, k: u64, n: u64) {
         let kernel = self
             .tuner
             .gemm_flavored(self.cfg, flavor, GemmShape::new(m, k, n));
@@ -120,7 +124,7 @@ impl<'a> TraceCtx<'a> {
     }
 
     /// Emit an element-wise map kernel.
-    pub fn emit_ew(&mut self, op: &str, elems: u64, flops_per_elem: f64, inputs: u32) {
+    pub fn emit_ew(&mut self, op: &'static str, elems: u64, flops_per_elem: f64, inputs: u32) {
         self.push(elementwise::map(op, elems, flops_per_elem, inputs));
     }
 
@@ -130,7 +134,7 @@ impl<'a> TraceCtx<'a> {
     }
 
     /// Emit a row-wise reduction.
-    pub fn emit_reduce(&mut self, op: &str, rows: u64, width: u64) {
+    pub fn emit_reduce(&mut self, op: &'static str, rows: u64, width: u64) {
         self.push(reduce::reduce(op, rows, width));
     }
 
