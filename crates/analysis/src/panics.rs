@@ -115,13 +115,20 @@ pub fn run(waivers: &PanicWaivers, files: &[SourceFile]) -> Vec<Finding> {
                     // Indexing: `expr[`. The previous token is an ident,
                     // `)` or `]`; attributes (`#[`), macros (`vec![`),
                     // literals (`= [`) and type positions all fail this.
+                    // A lifetime (`&'static [T]`) is an ident after `'`.
+                    let after_lifetime = i > 1 && tokens[i - 2].is_punct(b'\'');
                     let indexing = match &tokens[i - 1].tok {
-                        Tok::Ident(id) => !matches!(
-                            id.as_str(),
-                            // Type/keyword positions that precede array
-                            // types rather than index expressions.
-                            "mut" | "dyn" | "in" | "as" | "return" | "box" | "else"
-                        ),
+                        Tok::Ident(id) => {
+                            !after_lifetime
+                                && !matches!(
+                                    id.as_str(),
+                                    // Type/keyword positions that precede
+                                    // array types, slice patterns or
+                                    // literals rather than index
+                                    // expressions.
+                                    "mut" | "dyn" | "in" | "as" | "return" | "box" | "else" | "let"
+                                )
+                        }
                         Tok::Punct(b')') | Tok::Punct(b']') => true,
                         _ => false,
                     };
@@ -269,6 +276,28 @@ mod tests {
         let findings = run(&waivers(vec![]), &[f]);
         let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
         assert_eq!(lines, vec![2, 3], "{findings:#?}");
+    }
+
+    #[test]
+    fn a_lifetime_before_a_slice_type_is_not_an_index() {
+        let f = parse("pub fn all() -> &'static [Kind] {\n    &[Kind::A]\n}");
+        let findings = run(&waivers(vec![]), &[f]);
+        assert!(findings.is_empty(), "{findings:#?}");
+    }
+
+    #[test]
+    fn a_let_slice_pattern_is_not_an_index() {
+        let f = parse("fn f(v: [u8; 2]) -> u8 {\n    let [a, b] = v;\n    a + b\n}");
+        let findings = run(&waivers(vec![]), &[f]);
+        assert!(findings.is_empty(), "{findings:#?}");
+    }
+
+    #[test]
+    fn an_index_beside_a_lifetime_and_a_let_is_still_flagged() {
+        let f = parse("fn f<'a>(v: &'a [u8]) -> u8 {\n    let [a] = [v[0]];\n    a\n}");
+        let findings = run(&waivers(vec![]), &[f]);
+        let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+        assert_eq!(lines, vec![2], "{findings:#?}");
     }
 
     #[test]

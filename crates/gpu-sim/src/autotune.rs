@@ -1,4 +1,5 @@
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::{Deserialize, Serialize};
 
@@ -20,7 +21,8 @@ const TUNE_TRIALS: u32 = 1;
 /// the first time a shape is seen it is tuned (cost recorded), afterwards
 /// lookups are free. Choices are keyed by `(flavor, shape)`, with the
 /// flavor a `&'static str`, so a lookup neither copies the flavor nor
-/// allocates.
+/// allocates, and hashed with a small multiply-rotate hasher rather than
+/// SipHash.
 ///
 /// ```
 /// use gpu_sim::{gemm::GemmShape, AutotuneTable, GpuConfig};
@@ -36,8 +38,42 @@ const TUNE_TRIALS: u32 = 1;
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct AutotuneTable {
     #[serde(skip)]
-    choices: HashMap<(&'static str, GemmShape), &'static GemmVariant>,
+    choices:
+        HashMap<(&'static str, GemmShape), &'static GemmVariant, BuildHasherDefault<KeyHasher>>,
     tuning_cost_s: f64,
+}
+
+/// The hasher of the tuned-problem map: a multiply-rotate over each word
+/// written (FxHash's step). A key is a static flavor and three dimensions
+/// the networks derive from a batch size and a sequence length, a few
+/// hundred per table, so SipHash's resistance to crafted collisions buys
+/// little and costs most of a lookup. The map is never iterated, so its
+/// order cannot reach any output.
+#[derive(Debug, Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.write_u64(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.0 = (self.0.rotate_left(5) ^ i).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.write_u64(i as u64);
+    }
 }
 
 impl AutotuneTable {

@@ -102,28 +102,18 @@ impl TraceProfile {
         TraceProfile::default()
     }
 
-    /// Record one kernel execution.
-    pub fn record(&mut self, kernel: &KernelDesc, time_s: f64, counters: KernelCounters) {
-        self.total_time_s += time_s;
-        self.launches += 1;
-        self.counters += counters;
-        match self.by_kernel.get_mut(kernel.name()) {
-            Some(agg) => {
-                agg.invocations += 1;
-                agg.time_s += time_s;
-                agg.counters += counters;
-            }
-            None => {
-                self.by_kernel.insert(
-                    kernel.name().to_owned(),
-                    KernelAgg {
-                        kind: kernel.kind(),
-                        invocations: 1,
-                        time_s,
-                        counters,
-                    },
-                );
-            }
+    /// A profile from a launch stream's totals and per-kernel aggregates.
+    pub(crate) fn from_parts(
+        total_time_s: f64,
+        launches: u64,
+        counters: KernelCounters,
+        by_kernel: BTreeMap<String, KernelAgg>,
+    ) -> Self {
+        TraceProfile {
+            total_time_s,
+            launches,
+            counters,
+            by_kernel,
         }
     }
 
@@ -217,14 +207,6 @@ impl TraceProfile {
 mod tests {
     use super::*;
 
-    fn dummy_kernel(name: &'static str, kind: KernelKind) -> KernelDesc {
-        KernelDesc::builder(name, kind)
-            .flops(1e6)
-            .read_bytes(1e6)
-            .write_bytes(1e5)
-            .build()
-    }
-
     fn dummy_counters(v: f64) -> KernelCounters {
         KernelCounters {
             valu_insts: v,
@@ -234,72 +216,6 @@ mod tests {
             l2_bytes: v,
             mem_write_stall_cycles: v,
         }
-    }
-
-    #[test]
-    fn record_accumulates_by_name() {
-        let mut p = TraceProfile::new();
-        let a = dummy_kernel("gemm_a", KernelKind::Gemm);
-        let b = dummy_kernel("ew_b", KernelKind::Elementwise);
-        p.record(&a, 1.0, dummy_counters(1.0));
-        p.record(&a, 2.0, dummy_counters(2.0));
-        p.record(&b, 3.0, dummy_counters(3.0));
-        assert_eq!(p.launches(), 3);
-        assert_eq!(p.unique_kernel_count(), 2);
-        assert!((p.total_time_s() - 6.0).abs() < 1e-12);
-        assert_eq!(p.by_kernel()["gemm_a"].invocations, 2);
-        assert!((p.by_kernel()["gemm_a"].time_s - 3.0).abs() < 1e-12);
-        assert!((p.counters().valu_insts - 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn kind_shares_sum_to_one() {
-        let mut p = TraceProfile::new();
-        p.record(
-            &dummy_kernel("a", KernelKind::Gemm),
-            2.0,
-            dummy_counters(0.0),
-        );
-        p.record(
-            &dummy_kernel("b", KernelKind::Reduce),
-            1.0,
-            dummy_counters(0.0),
-        );
-        p.record(
-            &dummy_kernel("c", KernelKind::Softmax),
-            1.0,
-            dummy_counters(0.0),
-        );
-        let shares = p.runtime_shares_by_kind();
-        let total: f64 = shares.values().sum();
-        assert!((total - 1.0).abs() < 1e-12);
-        assert!((shares[&KernelKind::Gemm] - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_combines_profiles() {
-        let mut p = TraceProfile::new();
-        let mut q = TraceProfile::new();
-        p.record(
-            &dummy_kernel("a", KernelKind::Gemm),
-            1.0,
-            dummy_counters(1.0),
-        );
-        q.record(
-            &dummy_kernel("a", KernelKind::Gemm),
-            2.0,
-            dummy_counters(2.0),
-        );
-        q.record(
-            &dummy_kernel("b", KernelKind::Memory),
-            4.0,
-            dummy_counters(4.0),
-        );
-        p.merge(&q);
-        assert_eq!(p.launches(), 3);
-        assert!((p.total_time_s() - 7.0).abs() < 1e-12);
-        assert_eq!(p.by_kernel()["a"].invocations, 2);
-        assert_eq!(p.by_kernel()["b"].invocations, 1);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 use serde::{Deserialize, Serialize};
 
-use crate::{kernel_time, GpuConfig, KernelCounters, KernelDesc, KernelTiming, TraceProfile};
+use crate::{
+    kernel_time, GpuConfig, KernelCounters, KernelDesc, KernelTiming, Launcher, TraceProfile,
+};
 
 /// A deterministic model of real-hardware run-to-run variation.
 ///
@@ -30,11 +32,22 @@ impl JitterModel {
     /// Multiplicative factor in `[1 - amplitude, 1 + amplitude]` for the
     /// `index`-th launch of kernel `name`.
     pub fn factor(&self, name: &str, index: u64) -> f64 {
+        self.factor_from(self.name_state(name), index)
+    }
+
+    /// The hash state with `name` folded in: the part of a factor that is
+    /// the same for every launch of one kernel.
+    pub(crate) fn name_state(&self, name: &str) -> u64 {
         let mut h = self.seed ^ 0x9e37_79b9_7f4a_7c15;
         for &b in name.as_bytes() {
             h = splitmix64(h ^ u64::from(b));
         }
-        h = splitmix64(h ^ index);
+        h
+    }
+
+    /// [`JitterModel::factor`] from a name's [`JitterModel::name_state`].
+    pub(crate) fn factor_from(&self, name_state: u64, index: u64) -> f64 {
+        let h = splitmix64(name_state ^ index);
         // Map to [0, 1) then to [1-a, 1+a].
         let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
         1.0 + self.amplitude * (2.0 * unit - 1.0)
@@ -51,9 +64,11 @@ fn splitmix64(mut x: u64) -> u64 {
 
 /// A simulated GPU: a [`GpuConfig`] plus an optional [`JitterModel`].
 ///
-/// The device executes kernel traces serially (one queue, as in the
-/// paper's profiled TensorFlow/ROCm stack) and produces a [`TraceProfile`]
-/// with per-kernel and total runtimes plus performance counters.
+/// The device executes kernels serially (one queue, as in the paper's
+/// profiled TensorFlow/ROCm stack) through a [`Launcher`], which produces
+/// a [`TraceProfile`] with per-kernel and total runtimes plus performance
+/// counters. [`Device::run_trace`] launches a collected trace;
+/// [`Device::launcher`] takes kernels one at a time, as they are emitted.
 ///
 /// ```
 /// use gpu_sim::{Device, GpuConfig, KernelDesc, KernelKind};
@@ -108,26 +123,20 @@ impl Device {
         (timing, counters)
     }
 
-    /// Execute `kernel` as launch number `idx` of a serial stream and
-    /// record it into `profile`. The jitter factor is keyed by the kernel's
-    /// name and `idx`, so a stream priced launch by launch equals the same
-    /// stream run as a trace.
-    pub fn launch(&self, profile: &mut TraceProfile, idx: u64, kernel: &KernelDesc) {
-        let (timing, counters) = self.run_kernel(kernel);
-        let factor = match &self.jitter {
-            Some(j) => j.factor(kernel.name(), idx),
-            None => 1.0,
-        };
-        profile.record(kernel, timing.time_s * factor, counters);
+    /// Start a serial launch stream on this device. Launch `i` of the
+    /// stream draws its jitter factor from the kernel's name and `i`, so a
+    /// stream fed kernel by kernel equals the same kernels run as a trace.
+    pub fn launcher(&self) -> Launcher<'_> {
+        Launcher::new(self)
     }
 
     /// Execute a kernel trace serially and aggregate the results.
     pub fn run_trace(&self, trace: &[KernelDesc]) -> TraceProfile {
-        let mut profile = TraceProfile::new();
-        for (idx, kernel) in (0u64..).zip(trace) {
-            self.launch(&mut profile, idx, kernel);
+        let mut launcher = self.launcher();
+        for kernel in trace {
+            launcher.launch(kernel);
         }
-        profile
+        launcher.finish()
     }
 }
 

@@ -191,6 +191,31 @@ impl KernelDesc {
     pub fn efficiency(&self) -> f64 {
         self.efficiency
     }
+
+    /// The name as stored, so a launcher can keep a static name without
+    /// copying it.
+    pub(crate) fn name_cow(&self) -> &Cow<'static, str> {
+        &self.name.0
+    }
+
+    /// The bits of every field the timing model and the counters read:
+    /// two descriptors with equal pricing bits get bit-identical timings
+    /// and counters on any configuration.
+    pub(crate) fn pricing_bits(&self) -> [u64; 10] {
+        [
+            self.flops,
+            self.read_bytes,
+            self.write_bytes,
+            self.footprint_bytes,
+            self.l1_locality,
+            self.l1_working_set,
+            self.l2_locality,
+            self.l2_working_set,
+            self.workgroups,
+            self.efficiency,
+        ]
+        .map(f64::to_bits)
+    }
 }
 
 /// A kernel name, serialized as a plain string. (The serde shim has no

@@ -6,9 +6,11 @@
 //! ([`KernelDesc`]) as they are launched and reports per-kernel and
 //! per-iteration runtimes plus the performance counters the paper relies on
 //! (vector-ALU instructions, memory-write stalls, load data size).
-//! [`Device::launch`] records one kernel into a [`TraceProfile`] as it is
-//! emitted, so a caller never has to hold a whole iteration's trace;
-//! [`Device::run_trace`] runs a collected trace through the same path.
+//! A [`Launcher`] from [`Device::launcher`] prices each kernel into a
+//! [`TraceProfile`] as it is emitted, so a caller never has to hold a
+//! whole iteration's trace; [`Device::run_trace`] runs a collected trace
+//! through the same path. A launcher prices each distinct launch once
+//! and reuses that price for every repeat of it.
 //! Every emitter names its kernels with a `&'static str`, a literal or
 //! one that [`kernel_name`] joins from static parts in a process-wide
 //! table, and the [`AutotuneTable`] looks tuned GEMMs up by
@@ -57,6 +59,7 @@ mod counters;
 mod device;
 mod error;
 mod kernel;
+mod launcher;
 mod names;
 mod timing;
 
@@ -75,5 +78,6 @@ pub use counters::{KernelAgg, KernelCounters, TraceProfile};
 pub use device::{Device, JitterModel};
 pub use error::SimError;
 pub use kernel::{KernelDesc, KernelDescBuilder, KernelKind};
+pub use launcher::Launcher;
 pub use names::kernel_name;
 pub use timing::{kernel_time, KernelTiming};

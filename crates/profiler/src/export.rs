@@ -56,7 +56,8 @@ pub fn export_seqpoint_traces(
     let mut manifest = String::new();
     let mut traces = Vec::with_capacity(set.len());
     for point in set.points() {
-        let file = dir.join(format!("seqpoint_sl{:05}.trace", point.seq_len));
+        let name = format!("seqpoint_sl{:05}.trace", point.seq_len);
+        let file = dir.join(&name);
         let trace =
             network.iteration_trace(&IterationShape::new(batch, point.seq_len), cfg, &mut tuner);
         let mut buf = Vec::new();
@@ -65,14 +66,7 @@ pub fn export_seqpoint_traces(
             message: e.to_string(),
         })?;
         fs::write(&file, buf).map_err(io_err(&file))?;
-        manifest.push_str(&format!(
-            "{}\t{}\t{}\n",
-            file.file_name()
-                .expect("constructed with a file name")
-                .to_string_lossy(),
-            point.seq_len,
-            point.weight
-        ));
+        manifest.push_str(&format!("{name}\t{}\t{}\n", point.seq_len, point.weight));
         traces.push(file);
     }
     let manifest_path = dir.join(MANIFEST_NAME);

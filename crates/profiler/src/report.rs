@@ -125,10 +125,9 @@ impl Table {
 /// Format a float with `digits` decimal places, trimming `-0`.
 pub fn fmt_f(value: f64, digits: usize) -> String {
     let s = format!("{value:.digits$}");
-    if s.starts_with("-0.") && s[3..].chars().all(|c| c == '0') {
-        s[1..].to_owned()
-    } else {
-        s
+    match s.strip_prefix('-') {
+        Some(zero) if zero.chars().all(|c| c == '0' || c == '.') => zero.to_owned(),
+        _ => s,
     }
 }
 
@@ -196,5 +195,16 @@ mod tests {
         assert_eq!(fmt_duration(2.5), "2.50 s");
         assert_eq!(fmt_duration(0.0025), "2.50 ms");
         assert_eq!(fmt_duration(0.0000025), "2.50 µs");
+    }
+
+    #[test]
+    fn fmt_f_trims_only_a_negative_zero() {
+        assert_eq!(fmt_f(-0.0, 3), "0.000");
+        assert_eq!(fmt_f(-0.0002, 3), "0.000");
+        assert_eq!(fmt_f(-0.001, 3), "-0.001");
+        assert_eq!(fmt_f(-0.4, 0), "0");
+        assert_eq!(fmt_f(-0.6, 0), "-1");
+        assert_eq!(fmt_f(0.0, 3), "0.000");
+        assert_eq!(fmt_f(-10.0004, 3), "-10.000");
     }
 }

@@ -1,6 +1,7 @@
 use gpu_sim::gemm::GemmShape;
 use gpu_sim::{
-    conv, elementwise, memops, reduce, AutotuneTable, Device, GpuConfig, KernelDesc, TraceProfile,
+    conv, elementwise, memops, reduce, AutotuneTable, Device, GpuConfig, KernelDesc, Launcher,
+    TraceProfile,
 };
 
 /// The emission context layers write kernels into: the target hardware
@@ -9,11 +10,13 @@ use gpu_sim::{
 ///
 /// A context made with [`TraceCtx::new`] collects the kernels into a
 /// trace ([`TraceCtx::into_trace`]). One made with [`TraceCtx::running`]
-/// prices each kernel on a [`Device`] as it is emitted and keeps only the
-/// aggregate [`TraceProfile`] ([`TraceCtx::into_profile`]), so a shape is
-/// profiled without holding its unrolled trace. Both see the same kernels
-/// in the same order, so the running profile equals
-/// [`Device::run_trace`] over the collected trace, bit for bit.
+/// launches each kernel on a [`Device`]'s [`Launcher`] as it is emitted
+/// and keeps only the aggregate [`TraceProfile`]
+/// ([`TraceCtx::into_profile`]), so a shape is profiled without holding
+/// its unrolled trace, and each distinct launch is priced once. Both see
+/// the same kernels in the same order, and [`Device::run_trace`] goes
+/// through a launcher too, so the running profile equals `run_trace` over
+/// the collected trace, bit for bit.
 ///
 /// Layers call the `emit_*` helpers rather than constructing
 /// [`KernelDesc`]s directly, which keeps kernel naming and the traffic
@@ -33,10 +36,7 @@ pub struct TraceCtx<'a> {
 #[derive(Debug)]
 enum Sink<'a> {
     Trace(Vec<KernelDesc>),
-    Running {
-        device: &'a Device,
-        profile: TraceProfile,
-    },
+    Running(Launcher<'a>),
 }
 
 impl<'a> TraceCtx<'a> {
@@ -55,10 +55,7 @@ impl<'a> TraceCtx<'a> {
         TraceCtx {
             cfg: device.config(),
             tuner,
-            sink: Sink::Running {
-                device,
-                profile: TraceProfile::new(),
-            },
+            sink: Sink::Running(device.launcher()),
         }
     }
 
@@ -71,7 +68,7 @@ impl<'a> TraceCtx<'a> {
     pub fn len(&self) -> usize {
         match &self.sink {
             Sink::Trace(kernels) => kernels.len(),
-            Sink::Running { profile, .. } => profile.launches() as usize,
+            Sink::Running(launcher) => launcher.launches() as usize,
         }
     }
 
@@ -85,7 +82,7 @@ impl<'a> TraceCtx<'a> {
     pub fn into_trace(self) -> Vec<KernelDesc> {
         match self.sink {
             Sink::Trace(kernels) => kernels,
-            Sink::Running { .. } => Vec::new(),
+            Sink::Running(_) => Vec::new(),
         }
     }
 
@@ -94,17 +91,14 @@ impl<'a> TraceCtx<'a> {
     pub fn into_profile(self) -> TraceProfile {
         match self.sink {
             Sink::Trace(_) => TraceProfile::new(),
-            Sink::Running { profile, .. } => profile,
+            Sink::Running(launcher) => launcher.finish(),
         }
     }
 
     fn push(&mut self, kernel: KernelDesc) {
         match &mut self.sink {
             Sink::Trace(kernels) => kernels.push(kernel),
-            Sink::Running { device, profile } => {
-                let idx = profile.launches();
-                device.launch(profile, idx, &kernel);
-            }
+            Sink::Running(launcher) => launcher.launch(&kernel),
         }
     }
 
