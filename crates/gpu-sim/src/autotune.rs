@@ -38,19 +38,23 @@ const TUNE_TRIALS: u32 = 1;
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct AutotuneTable {
     #[serde(skip)]
-    choices:
-        HashMap<(&'static str, GemmShape), &'static GemmVariant, BuildHasherDefault<KeyHasher>>,
+    choices: HashMap<(&'static str, GemmShape), &'static GemmVariant, KeyHash>,
     tuning_cost_s: f64,
 }
 
-/// The hasher of the tuned-problem map: a multiply-rotate over each word
-/// written (FxHash's step). A key is a static flavor and three dimensions
-/// the networks derive from a batch size and a sequence length, a few
-/// hundred per table, so SipHash's resistance to crafted collisions buys
-/// little and costs most of a lookup. The map is never iterated, so its
-/// order cannot reach any output.
+/// The hasher of maps keyed by a GEMM problem, `(flavor, shape)`: a
+/// multiply-rotate over each word written (FxHash's step). A key is a
+/// static flavor and three dimensions the networks derive from a batch
+/// size and a sequence length, a few hundred per table, so SipHash's
+/// resistance to crafted collisions buys little and costs most of a
+/// lookup. Such a map must not be iterated where its order could reach
+/// an output; the autotune table's never is.
 #[derive(Debug, Default)]
-struct KeyHasher(u64);
+pub struct KeyHasher(u64);
+
+/// The [`std::hash::BuildHasher`] of the autotune table's multiply-rotate
+/// hasher, for any map keyed by a GEMM problem `(flavor, shape)`.
+pub type KeyHash = BuildHasherDefault<KeyHasher>;
 
 impl Hasher for KeyHasher {
     fn finish(&self) -> u64 {

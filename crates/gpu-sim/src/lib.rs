@@ -71,7 +71,7 @@ pub mod memops;
 pub mod reduce;
 pub mod trace_format;
 
-pub use autotune::AutotuneTable;
+pub use autotune::{AutotuneTable, KeyHash};
 pub use cache::{capture_fraction, CacheModel};
 pub use config::{GpuConfig, GpuConfigBuilder, TABLE2_CONFIG_COUNT};
 pub use counters::{KernelAgg, KernelCounters, TraceProfile};

@@ -14,8 +14,15 @@
 //! the triples a program can form are bounded by its string constants;
 //! the workspace's emitters can form fewer than 200 of them, against
 //! [`SLOTS`] slots.
+//!
+//! One text can be formed from parts at several addresses: the same
+//! literal written in two crates, or two codegen units, need not share
+//! storage. Writing a new slot is rare, so it takes a lock and reuses the
+//! string of any slot that already holds the same text. Each name text
+//! therefore has exactly one `&'static str`, and its address identifies
+//! it.
 
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Capacity of the table, in distinct triples.
 const SLOTS: usize = 1024;
@@ -31,6 +38,9 @@ struct Entry {
 
 static TABLE: [OnceLock<Entry>; SLOTS] = [const { OnceLock::new() }; SLOTS];
 
+/// Held while a slot is written, so that no two slots leak the same text.
+static WRITES: Mutex<()> = Mutex::new(());
+
 /// Fold one part's address and length into the hash `h`.
 fn mix(h: u64, part: &str) -> u64 {
     const K: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -41,13 +51,14 @@ fn mix(h: u64, part: &str) -> u64 {
 /// The name `{prefix}{label}_{suffix}`, e.g.
 /// `kernel_name("ew_", "tanh", "v4")` is `"ew_tanh_v4"`.
 ///
-/// The first call for a triple of parts allocates the joined string and
-/// keeps it for the life of the process; every later call with the same
-/// parts returns that same `&'static str` without allocating or locking.
-/// "The same parts" means the same string constants, compared by address
-/// and length, so a name's pointer is stable and can serve as an identity
-/// key. Once every slot is taken, which no emitter in this workspace
-/// comes near, a new triple gets a fresh copy on each call.
+/// The first call for a triple of parts joins the string and keeps it
+/// for the life of the process, reusing the string of another triple
+/// that joined to the same text; every later call with the same parts
+/// returns that same `&'static str` without allocating or locking. "The
+/// same parts" means the same string constants, compared by address and
+/// length. So a name text has one stable pointer, which can serve as an
+/// identity key. Once every slot is taken, which no emitter in this
+/// workspace comes near, a new triple gets a fresh copy on each call.
 ///
 /// ```
 /// use gpu_sim::kernel_name;
@@ -72,8 +83,7 @@ pub fn kernel_name(
         suffix.len(),
     ];
     let h = mix(mix(mix(0, prefix), label), suffix);
-    let join =
-        || -> &'static str { Box::leak(format!("{prefix}{label}_{suffix}").into_boxed_str()) };
+    let text = || format!("{prefix}{label}_{suffix}");
     let mut slot = (h >> 32) as usize % SLOTS;
     for _ in 0..SLOTS {
         let Some(cell) = TABLE.get(slot) else {
@@ -81,14 +91,34 @@ pub fn kernel_name(
         };
         let entry = match cell.get() {
             Some(entry) => entry,
-            None => cell.get_or_init(|| Entry { key, name: join() }),
+            None => {
+                // A slot is written whole or not at all, so a writer that
+                // panicked left the table valid and the lock can be taken.
+                let _writing = WRITES.lock().unwrap_or_else(PoisonError::into_inner);
+                cell.get_or_init(|| Entry {
+                    key,
+                    name: intern(text()),
+                })
+            }
         };
         if entry.key == key {
             return entry.name;
         }
         slot = (slot + 1) % SLOTS;
     }
-    join()
+    Box::leak(text().into_boxed_str())
+}
+
+/// `text` as a `&'static str`: the name of a written slot that already
+/// holds the same text, or else `text` leaked. Called with [`WRITES`]
+/// held, so no slot is written meanwhile.
+fn intern(text: String) -> &'static str {
+    TABLE
+        .iter()
+        .filter_map(OnceLock::get)
+        .map(|entry| entry.name)
+        .find(|name| **name == text)
+        .unwrap_or_else(|| Box::leak(text.into_boxed_str()))
 }
 
 #[cfg(test)]
@@ -121,6 +151,17 @@ mod tests {
         assert_eq!(names.len(), 4);
         assert_eq!(names[0], "reduce_race_2p");
         assert!(names.iter().all(|n| std::ptr::eq(*n, names[0])));
+    }
+
+    #[test]
+    fn one_text_from_parts_at_two_addresses_is_one_name() {
+        let owned = String::from("nt");
+        let elsewhere: &'static str = Box::leak(owned.into_boxed_str());
+        let a = kernel_name("gemm_", "nt", "twice");
+        let b = kernel_name("gemm_", elsewhere, "twice");
+        assert!(!std::ptr::eq("nt", elsewhere));
+        assert_eq!(b, "gemm_nt_twice");
+        assert!(std::ptr::eq(a, b));
     }
 
     #[test]

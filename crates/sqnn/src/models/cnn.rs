@@ -52,7 +52,7 @@ pub fn cnn_with(image_size: u64, classes: u64) -> Network {
         // Global-average-pooled features into the head.
         .layer(Dense::new("fc1", 256, 512, RowSpec::PerSample).with_activation("relu"))
         .layer(SoftmaxCrossEntropy::per_sample("head", 512, classes));
-    b.build().expect("cnn layer list is non-empty")
+    b.finish()
 }
 
 #[cfg(test)]

@@ -65,7 +65,7 @@ pub fn conv_s2s_with(vocab: u64, channels: u64, layers: u32) -> Network {
             vocab,
             Stream::Target,
         ));
-    b.build().expect("conv-s2s layer list is non-empty")
+    b.finish()
 }
 
 #[cfg(test)]

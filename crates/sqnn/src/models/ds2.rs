@@ -83,7 +83,7 @@ pub fn ds2_with(alphabet: u64, gru_hidden: u64) -> Network {
             RowSpec::PerToken(Stream::Source),
         ))
         .layer(CtcLoss::new("ctc", alphabet, Stream::Source));
-    b.build().expect("ds2 layer list is non-empty")
+    b.finish()
 }
 
 /// DS2 variant with a per-token softmax classifier instead of CTC (used
@@ -137,7 +137,7 @@ pub fn ds2_softmax() -> Network {
         DS2_ALPHABET,
         Stream::Source,
     ));
-    b.build().expect("ds2-softmax layer list is non-empty")
+    b.finish()
 }
 
 #[cfg(test)]

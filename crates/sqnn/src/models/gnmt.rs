@@ -64,7 +64,7 @@ pub fn gnmt_with(vocab: u64, hidden: u64) -> Network {
             vocab,
             Stream::Target,
         ));
-    b.build().expect("gnmt layer list is non-empty")
+    b.finish()
 }
 
 #[cfg(test)]

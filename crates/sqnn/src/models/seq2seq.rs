@@ -35,7 +35,7 @@ pub fn seq2seq_with(vocab: u64, hidden: u64, layers_per_side: u32) -> Network {
             vocab,
             Stream::Target,
         ));
-    b.build().expect("seq2seq layer list is non-empty")
+    b.finish()
 }
 
 #[cfg(test)]

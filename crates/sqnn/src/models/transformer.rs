@@ -84,7 +84,7 @@ pub fn transformer_with(vocab: u64, hidden: u64, heads: u64, layers: u32) -> Net
         vocab,
         Stream::Target,
     ));
-    b.build().expect("transformer layer list is non-empty")
+    b.finish()
 }
 
 #[cfg(test)]

@@ -204,12 +204,19 @@ impl NetworkBuilder {
                 "network needs at least one layer",
             ));
         }
-        Ok(Network {
+        Ok(self.finish())
+    }
+
+    /// Finish a builder whose layer list is fixed and non-empty, as every
+    /// model in the zoo's is, without the check [`NetworkBuilder::build`]
+    /// makes.
+    pub(crate) fn finish(self) -> Network {
+        Network {
             name: self.name,
             layers: self.layers,
             vocab_size: self.vocab_size,
             optimizer: self.optimizer,
-        })
+        }
     }
 }
 
@@ -246,6 +253,31 @@ mod tests {
         assert_eq!(opt_kernels, 2); // one per parameterized layer
         let inference = net.inference_trace(&IterationShape::new(4, 4), &cfg, &mut tuner);
         assert!(inference.len() < trace.len());
+    }
+
+    #[test]
+    fn each_gemm_problem_is_built_once_per_context() {
+        let net = crate::models::gnmt();
+        let device = gpu_sim::Device::new(GpuConfig::vega_fe());
+        for sl in [20, 120] {
+            let shape = IterationShape::new(16, sl);
+            // A fresh tuner tunes each distinct (flavor, shape) once.
+            let mut tuner = AutotuneTable::new();
+            let gemm_launches = net
+                .iteration_trace(&shape, device.config(), &mut tuner)
+                .iter()
+                .filter(|k| k.kind() == gpu_sim::KernelKind::Gemm)
+                .count();
+            let problems = tuner.shapes_tuned();
+            assert!(problems * 10 < gemm_launches, "SL {sl}: {problems}");
+            // The tuner is warm now; each new context still builds every
+            // problem once.
+            for _ in 0..2 {
+                let mut ctx = TraceCtx::running(&device, &mut tuner);
+                net.emit(&shape, true, &mut ctx);
+                assert_eq!(ctx.gemm_builds(), problems, "SL {sl}");
+            }
+        }
     }
 
     #[test]
