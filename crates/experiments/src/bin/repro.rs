@@ -20,8 +20,9 @@ use std::collections::BTreeSet;
 use std::time::Instant;
 
 use seqpoint_experiments::{
-    extensions, fig03, fig04, fig05, fig06, fig07, fig08, fig09, kmeans_ablation, larger_datasets,
-    profiling_speedup, projection, sensitivity, speedup, streaming, table1, table2, Net, Workloads,
+    ablations, extensions, fig03, fig04, fig05, fig06, fig07, fig08, fig09, kmeans_ablation,
+    larger_datasets, profiling_speedup, projection, sensitivity, speedup, streaming, table1,
+    table2, Net, Workloads,
 };
 use sqnn_profiler::report::Table;
 
@@ -77,6 +78,11 @@ const ARTIFACTS: &[(&str, &[&str], &str)] = &[
         "kmeans_ablation",
         &["kmeans"],
         "§VII-C — k-means vs SL binning",
+    ),
+    (
+        "ablations",
+        &[],
+        "Fig. 10 design choices — representative rule, binning, e, prior window",
     ),
     (
         "extensions",
@@ -296,6 +302,9 @@ fn main() {
             &kmeans_ablation::run(&mut w).table,
             &args.out,
         );
+    }
+    if wants("ablations") {
+        emit("ablations", &ablations::run(&mut w), &args.out);
     }
     if wants("extensions") {
         emit("extensions", &extensions::run(&mut w).table, &args.out);

@@ -3,9 +3,8 @@
 //! One module per artifact of the paper's evaluation (the table below is
 //! the index). Each module exposes a `run(&mut Workloads)`
 //! function returning a rendered [`sqnn_profiler::report::Table`] plus
-//! the headline numbers the paper quotes, so the `repro` binary, the
-//! integration tests, and the Criterion benches all share one
-//! implementation.
+//! the headline numbers the paper quotes, so the `repro` binary and the
+//! integration tests share one implementation.
 //!
 //! | Module | Paper artifact |
 //! |---|---|
@@ -23,6 +22,7 @@
 //! | [`speedup`] | Figs. 15–16 — speedup projection errors |
 //! | [`profiling_speedup`] | §VI-F — profiling-time reduction factors |
 //! | [`kmeans_ablation`] | §VII-C — k-means vs SL binning |
+//! | [`ablations`] | Fig. 10 design choices — representative rule, binning, `e`, `prior` window |
 //! | [`extensions`] | §VII-B/E — Transformer and inference binning |
 //! | [`streaming`] | extension — sharded online selection vs full epoch |
 
@@ -31,6 +31,7 @@
 
 mod context;
 
+pub mod ablations;
 pub mod extensions;
 pub mod fig03;
 pub mod fig04;

@@ -153,9 +153,10 @@ impl<'d> Launcher<'d> {
     fn slot_for(&mut self, kernel: &KernelDesc) -> usize {
         let name = kernel.name();
         // The address and length settle most lookups without reading the
-        // text. The text still decides, because one text can sit at
-        // several addresses: `kernel_name` joins the same text once per
-        // address of its parts, and a name read from a file is owned.
+        // text: `kernel_name` hands out one address per text. The text
+        // still decides for the names that bypass that table: owned names
+        // from `trace_format::read_trace`, and literal names built without
+        // `kernel_name`.
         let same = |slot: &Slot| {
             (slot.name.as_ptr() == name.as_ptr() && slot.name.len() == name.len())
                 || slot.name == name

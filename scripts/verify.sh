@@ -52,8 +52,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 step docs "docs (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
-step targets "bench + example targets compile"
-cargo build --workspace --benches --examples --quiet
+step examples "example targets compile"
+cargo build --workspace --examples --quiet
 
 echo
 echo "verify: OK"
