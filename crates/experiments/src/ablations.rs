@@ -119,7 +119,9 @@ const PRIOR_WINDOWS: [(usize, usize); 4] = [(10, 50), (50, 50), (150, 50), (10, 
 
 /// Run the ablations on config 0 of both networks: one row per network,
 /// study and variant, with the bin count, the representative iterations
-/// profiled (SeqPoints, or `prior`'s window) and the self error.
+/// profiled (SeqPoints, or `prior`'s window) and the self error. A
+/// `prior` window cut short by the epoch's end names the iterations it
+/// sampled in its variant, e.g. `warmup=150 window=50 (1 of 50)`.
 pub fn run(w: &mut Workloads) -> Table {
     let mut table = Table::new(
         "Design-choice ablations — representative rule, binning, e, prior window",
@@ -177,8 +179,12 @@ pub fn run(w: &mut Workloads) -> Table {
                 continue;
             };
             let pred = sel.project_total_with(|sl| log.mean_stat_of(sl).unwrap_or(f64::NAN));
-            let variant = format!("warmup={warmup} window={window}");
+            // `select` clamps the window at the epoch's end; say so.
             let points = sel.seq_lens().len();
+            let mut variant = format!("warmup={warmup} window={window}");
+            if points < window {
+                variant.push_str(&format!(" ({points} of {window})"));
+            }
             row(
                 "prior",
                 variant,
@@ -298,9 +304,9 @@ mod tests {
                 "GNMT,e sweep,e=0.5%,15,7,0.1737",
                 "GNMT,e sweep,e=1%,10,6,0.8032",
                 "GNMT,prior,warmup=10 window=50,-,50,1.7274",
-                "GNMT,prior,warmup=50 window=50,-,44,14.6376",
-                "GNMT,prior,warmup=150 window=50,-,1,40.9651",
-                "GNMT,prior,warmup=10 window=200,-,84,10.0864",
+                "GNMT,prior,warmup=50 window=50 (44 of 50),-,44,14.6376",
+                "GNMT,prior,warmup=150 window=50 (1 of 50),-,1,40.9651",
+                "GNMT,prior,warmup=10 window=200 (84 of 200),-,84,10.0864",
             ]
         );
     }

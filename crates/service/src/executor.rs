@@ -682,6 +682,8 @@ mod tests {
     #[test]
     fn dead_registrations_are_reclaimed_at_lease_time() {
         let pool = WorkerPool::new();
+        let metrics = MetricsRegistry::new();
+        pool.attach_metrics(Arc::clone(&metrics));
         let (dead, hangup) = std::os::unix::net::UnixStream::pair().unwrap();
         let (live, _keep_live) = std::os::unix::net::UnixStream::pair().unwrap();
         assert!(pool.register(Stream::from(dead), 11));
@@ -693,6 +695,9 @@ mod tests {
         let (leases, reclaimed) = pool.fleet_stats();
         assert_eq!(leases, 1);
         assert_eq!(reclaimed, 1);
+        let text = metrics.render(&Default::default());
+        assert!(text.contains("seqpoint_fleet_leases_total 1\n"), "{text}");
+        assert!(text.contains("seqpoint_fleet_reclaims_total 1\n"), "{text}");
     }
 
     #[test]

@@ -2,24 +2,26 @@
 //!
 //! One [`MetricsRegistry`] lives in the server's shared state and is
 //! threaded through every subsystem: the connection loop counts
-//! messages and bytes per direction (globally, per client, and per
-//! connection), the scheduler tracks queue depth and wait time per
-//! fairness class, the cache admission path counts hits, misses, and
-//! followers, the worker pool counts leases and reclaims plus worker
-//! wire traffic, and the round loop records round boundaries with
-//! their wall time and item counts.
+//! messages and bytes per direction and per client (traffic before an
+//! identity is announced counts under `client=""`), the scheduler
+//! tracks queue depth and wait time per fairness class, the cache
+//! admission path counts hits, misses, and followers, the worker pool
+//! counts leases and reclaims plus worker wire traffic, and the
+//! operator graph reports items and wall time per pipeline stage (one
+//! fold sample per completed round). Each fact has one series;
+//! daemon-wide totals and rates are left to whoever reads them.
 //!
 //! Design constraints, in order:
 //!
 //! 1. **Hot-path cost ~zero.** Every per-message / per-round update is
 //!    a handful of `Relaxed` atomic adds — no locks, no allocation, no
-//!    clock reads beyond one `Instant::elapsed` for the time buckets.
-//! 2. **One leaf lock.** The only mutex guards the per-client /
-//!    per-connection maps and is taken at connection open/close,
-//!    client-identity resolution, and render time — never per message.
-//!    It is registered last in `analysis/lock_order.toml`, so holding
-//!    any other service lock while touching a counter is legal, and
-//!    nothing may be acquired while holding it.
+//!    clock reads.
+//! 2. **One leaf lock.** The only mutex guards the per-client map and
+//!    is taken at client-identity resolution, job submission, and
+//!    render time — never per message. It is registered after every
+//!    other service lock in `analysis/lock_order.toml`, so holding any
+//!    of them while touching a counter is legal, and nothing may be
+//!    acquired while holding it.
 //! 3. **No drift.** [`CATALOG`] is the single source of truth for
 //!    metric names; [`MetricsRegistry::render`] iterates it, a unit
 //!    test asserts every catalog entry produces a sample, and another
@@ -117,26 +119,6 @@ pub const CATALOG: &[MetricDef] = &[
         "Client connections currently open.",
     ),
     counter(
-        "seqpoint_messages_in_total",
-        "",
-        "Protocol frames received from clients.",
-    ),
-    counter(
-        "seqpoint_messages_out_total",
-        "",
-        "Protocol frames sent to clients.",
-    ),
-    counter(
-        "seqpoint_bytes_in_total",
-        "",
-        "Wire bytes received from clients (NDJSON lines incl. newline).",
-    ),
-    counter(
-        "seqpoint_bytes_out_total",
-        "",
-        "Wire bytes sent to clients (NDJSON lines incl. newline).",
-    ),
-    counter(
         "seqpoint_client_messages_in_total",
         "client",
         "Protocol frames received, by announced client identity.",
@@ -162,31 +144,6 @@ pub const CATALOG: &[MetricDef] = &[
         "Jobs accepted into the queue, by announced client identity.",
     ),
     counter(
-        "seqpoint_conn_messages_in_total",
-        "conn,client",
-        "Protocol frames received on each currently open connection.",
-    ),
-    counter(
-        "seqpoint_conn_messages_out_total",
-        "conn,client",
-        "Protocol frames sent on each currently open connection.",
-    ),
-    counter(
-        "seqpoint_conn_bytes_in_total",
-        "conn,client",
-        "Wire bytes received on each currently open connection.",
-    ),
-    counter(
-        "seqpoint_conn_bytes_out_total",
-        "conn,client",
-        "Wire bytes sent on each currently open connection.",
-    ),
-    counter(
-        "seqpoint_jobs_submitted_total",
-        "",
-        "Jobs accepted into the queue (cache followers included).",
-    ),
-    counter(
         "seqpoint_jobs_completed_total",
         "",
         "Jobs that reached the Done state.",
@@ -210,21 +167,6 @@ pub const CATALOG: &[MetricDef] = &[
         "seqpoint_rounds_total",
         "",
         "Profiling rounds completed across all jobs.",
-    ),
-    counter(
-        "seqpoint_round_wall_ms_total",
-        "",
-        "Cumulative wall-clock milliseconds spent executing rounds.",
-    ),
-    gauge(
-        "seqpoint_round_wall_ms_last",
-        "",
-        "Wall-clock milliseconds of the most recently completed round.",
-    ),
-    counter(
-        "seqpoint_items_total",
-        "",
-        "Iterations (batch items) measured across all completed rounds.",
     ),
     counter(
         "seqpoint_stage_items_in_total",
@@ -311,35 +253,10 @@ pub const CATALOG: &[MetricDef] = &[
         "",
         "Wire bytes sent to leased workers.",
     ),
-    gauge(
-        "seqpoint_messages_in_60s",
-        "",
-        "Client frames received in the trailing 60-second window.",
-    ),
-    gauge(
-        "seqpoint_messages_out_60s",
-        "",
-        "Client frames sent in the trailing 60-second window.",
-    ),
-    gauge(
-        "seqpoint_bytes_in_60s",
-        "",
-        "Client bytes received in the trailing 60-second window.",
-    ),
-    gauge(
-        "seqpoint_bytes_out_60s",
-        "",
-        "Client bytes sent in the trailing 60-second window.",
-    ),
-    gauge(
-        "seqpoint_rounds_60s",
-        "",
-        "Rounds completed in the trailing 60-second window.",
-    ),
 ];
 
-/// Directional message/byte counters shared by the global, per-client,
-/// and per-connection scopes.
+/// Directional message/byte counters shared by the per-client and
+/// worker scopes.
 #[derive(Debug, Default)]
 struct WireCounters {
     messages_in: AtomicU64,
@@ -357,65 +274,6 @@ impl WireCounters {
     fn record_out(&self, bytes: u64) {
         self.messages_out.fetch_add(1, Ordering::Relaxed);
         self.bytes_out.fetch_add(bytes, Ordering::Relaxed);
-    }
-}
-
-/// Number of one-second buckets in a [`Window`].
-const WINDOW_SLOTS: u64 = 60;
-
-#[derive(Debug, Default)]
-struct WindowSlot {
-    /// Absolute second-since-start **plus one** (0 = never written).
-    tag: AtomicU64,
-    value: AtomicU64,
-}
-
-/// A fixed 60-second ring of one-second buckets. Writers tag the
-/// current slot with the absolute second and add to it; readers sum
-/// the slots whose tags fall inside the trailing window. A write that
-/// races a second rollover can be attributed to the wrong bucket —
-/// the window is an operator signal, not an invoice — but the total
-/// counters it accompanies are always exact.
-#[derive(Debug)]
-struct Window {
-    slots: Vec<WindowSlot>,
-}
-
-impl Default for Window {
-    fn default() -> Self {
-        let mut slots = Vec::with_capacity(WINDOW_SLOTS as usize);
-        slots.resize_with(WINDOW_SLOTS as usize, WindowSlot::default);
-        Window { slots }
-    }
-}
-
-impl Window {
-    fn record(&self, now_s: u64, value: u64) {
-        let tag = now_s + 1;
-        let idx = (now_s % WINDOW_SLOTS) as usize;
-        if let Some(slot) = self.slots.get(idx) {
-            if slot.tag.swap(tag, Ordering::Relaxed) != tag {
-                // First write of this second: retire the stale bucket.
-                slot.value.store(0, Ordering::Relaxed);
-            }
-            slot.value.fetch_add(value, Ordering::Relaxed);
-        }
-    }
-
-    fn sum(&self, now_s: u64) -> u64 {
-        let newest = now_s + 1;
-        let oldest = newest.saturating_sub(WINDOW_SLOTS - 1);
-        self.slots
-            .iter()
-            .map(|slot| {
-                let tag = slot.tag.load(Ordering::Relaxed);
-                if tag >= oldest && tag <= newest {
-                    slot.value.load(Ordering::Relaxed)
-                } else {
-                    0
-                }
-            })
-            .sum()
     }
 }
 
@@ -472,20 +330,6 @@ struct ClientScope {
     jobs_submitted: AtomicU64,
 }
 
-/// A currently open connection, as the registry tracks it.
-#[derive(Debug)]
-struct ConnEntry {
-    wire: Arc<WireCounters>,
-    client: Option<String>,
-}
-
-/// The maps behind the registry's single (leaf) lock.
-#[derive(Debug, Default)]
-struct Dynamic {
-    clients: HashMap<String, Arc<ClientScope>>,
-    conns: HashMap<u64, ConnEntry>,
-}
-
 /// Point-in-time values sampled from the other subsystems immediately
 /// before rendering (never while holding any metrics lock).
 #[derive(Clone, Copy, Debug, Default)]
@@ -504,19 +348,17 @@ pub struct RenderGauges {
 #[derive(Debug)]
 pub struct MetricsRegistry {
     start: Instant,
-    next_conn: AtomicU64,
     connections_opened: AtomicU64,
     connections_closed: AtomicU64,
-    wire: WireCounters,
+    /// The `client=""` scope: traffic before (or without) an announced
+    /// identity. Also registered in `clients`; kept here so counting it
+    /// never takes the lock.
+    anonymous: Arc<ClientScope>,
     worker_wire: WireCounters,
-    jobs_submitted: AtomicU64,
     jobs_completed: AtomicU64,
     jobs_failed: AtomicU64,
     jobs_cancelled: AtomicU64,
     rounds_total: AtomicU64,
-    round_wall_ms_total: AtomicU64,
-    round_wall_ms_last: AtomicU64,
-    items_total: AtomicU64,
     stages: [StageCounters; StageId::ALL.len()],
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
@@ -525,34 +367,25 @@ pub struct MetricsRegistry {
     fleet_reclaims: AtomicU64,
     interactive: ClassCounters,
     batch: ClassCounters,
-    window_messages_in: Window,
-    window_messages_out: Window,
-    window_bytes_in: Window,
-    window_bytes_out: Window,
-    window_rounds: Window,
-    inner: Mutex<Dynamic>,
+    clients: Mutex<HashMap<String, Arc<ClientScope>>>,
 }
 
 impl MetricsRegistry {
-    /// A fresh registry; all counters start at zero and the 60-second
-    /// windows are empty. Metrics are in-memory only and deliberately
-    /// do **not** survive a daemon restart.
+    /// A fresh registry with all counters at zero. Metrics are
+    /// in-memory only and deliberately do **not** survive a daemon
+    /// restart.
     pub fn new() -> Arc<MetricsRegistry> {
+        let anonymous = Arc::new(ClientScope::default());
         Arc::new(MetricsRegistry {
             start: Instant::now(),
-            next_conn: AtomicU64::new(1),
             connections_opened: AtomicU64::new(0),
             connections_closed: AtomicU64::new(0),
-            wire: WireCounters::default(),
+            anonymous: Arc::clone(&anonymous),
             worker_wire: WireCounters::default(),
-            jobs_submitted: AtomicU64::new(0),
             jobs_completed: AtomicU64::new(0),
             jobs_failed: AtomicU64::new(0),
             jobs_cancelled: AtomicU64::new(0),
             rounds_total: AtomicU64::new(0),
-            round_wall_ms_total: AtomicU64::new(0),
-            round_wall_ms_last: AtomicU64::new(0),
-            items_total: AtomicU64::new(0),
             stages: Default::default(),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
@@ -561,36 +394,16 @@ impl MetricsRegistry {
             fleet_reclaims: AtomicU64::new(0),
             interactive: ClassCounters::default(),
             batch: ClassCounters::default(),
-            window_messages_in: Window::default(),
-            window_messages_out: Window::default(),
-            window_bytes_in: Window::default(),
-            window_bytes_out: Window::default(),
-            window_rounds: Window::default(),
-            inner: Mutex::new(Dynamic::default()),
+            clients: Mutex::new(HashMap::from([(String::new(), anonymous)])),
         })
     }
 
-    fn now_s(&self) -> u64 {
-        self.start.elapsed().as_secs()
-    }
-
-    /// Register a new client connection; the returned handle counts
-    /// wire traffic for it and unregisters on drop.
+    /// Count a new client connection; the returned handle counts its
+    /// wire traffic and counts the connection closed on drop.
     pub fn conn_opened(self: &Arc<MetricsRegistry>) -> ConnMetrics {
-        let id = self.next_conn.fetch_add(1, Ordering::Relaxed);
         self.connections_opened.fetch_add(1, Ordering::Relaxed);
-        let wire = Arc::new(WireCounters::default());
-        self.inner.lock_recover().conns.insert(
-            id,
-            ConnEntry {
-                wire: Arc::clone(&wire),
-                client: None,
-            },
-        );
         ConnMetrics {
             registry: Arc::clone(self),
-            id,
-            conn: wire,
             client: OnceLock::new(),
         }
     }
@@ -605,7 +418,6 @@ impl MetricsRegistry {
 
     /// A job was accepted into the queue, attributed to `client`.
     pub fn job_submitted(&self, client: &str) {
-        self.jobs_submitted.fetch_add(1, Ordering::Relaxed);
         self.client_scope(client)
             .jobs_submitted
             .fetch_add(1, Ordering::Relaxed);
@@ -641,17 +453,6 @@ impl MetricsRegistry {
         self.cache_followers.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A profiling round completed in `wall_ms`, measuring `items`
-    /// iterations.
-    pub fn round_completed(&self, wall_ms: u64, items: u64) {
-        self.rounds_total.fetch_add(1, Ordering::Relaxed);
-        self.round_wall_ms_total
-            .fetch_add(wall_ms, Ordering::Relaxed);
-        self.round_wall_ms_last.store(wall_ms, Ordering::Relaxed);
-        self.items_total.fetch_add(items, Ordering::Relaxed);
-        self.window_rounds.record(self.now_s(), 1);
-    }
-
     /// The fleet pool granted `n` worker leases.
     pub fn fleet_leased(&self, n: u64) {
         self.fleet_leases.fetch_add(n, Ordering::Relaxed);
@@ -673,25 +474,14 @@ impl MetricsRegistry {
     }
 
     fn client_scope(&self, name: &str) -> Arc<ClientScope> {
-        let mut inner = self.inner.lock_recover();
-        match inner.clients.get(name) {
+        let mut clients = self.clients.lock_recover();
+        match clients.get(name) {
             Some(scope) => Arc::clone(scope),
             None => {
                 let scope = Arc::new(ClientScope::default());
-                inner.clients.insert(name.to_owned(), Arc::clone(&scope));
+                clients.insert(name.to_owned(), Arc::clone(&scope));
                 scope
             }
-        }
-    }
-
-    fn conn_closed(&self, id: u64) {
-        self.connections_closed.fetch_add(1, Ordering::Relaxed);
-        self.inner.lock_recover().conns.remove(&id);
-    }
-
-    fn label_conn(&self, id: u64, client: &str) {
-        if let Some(entry) = self.inner.lock_recover().conns.get_mut(&id) {
-            entry.client = Some(client.to_owned());
         }
     }
 
@@ -700,25 +490,15 @@ impl MetricsRegistry {
     /// sample them **before** calling (this method takes the registry
     /// lock briefly and must stay a lock-order leaf).
     pub fn render(&self, gauges: &RenderGauges) -> String {
-        let now_s = self.now_s();
-        // Snapshot the dynamic maps once, in stable order, then render
+        // Snapshot the client map once, in stable order, then render
         // without the lock.
-        let (clients, conns) = {
-            let inner = self.inner.lock_recover();
-            let mut clients: Vec<(String, Arc<ClientScope>)> = inner
-                .clients
-                .iter()
-                .map(|(k, v)| (k.clone(), Arc::clone(v)))
-                .collect();
-            clients.sort_by(|a, b| a.0.cmp(&b.0));
-            let mut conns: Vec<(u64, Option<String>, Arc<WireCounters>)> = inner
-                .conns
-                .iter()
-                .map(|(id, e)| (*id, e.client.clone(), Arc::clone(&e.wire)))
-                .collect();
-            conns.sort_by_key(|c| c.0);
-            (clients, conns)
-        };
+        let mut clients: Vec<(String, Arc<ClientScope>)> = self
+            .clients
+            .lock_recover()
+            .iter()
+            .map(|(k, v)| (k.clone(), Arc::clone(v)))
+            .collect();
+        clients.sort_by(|a, b| a.0.cmp(&b.0));
         let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
         let mut out = String::new();
         for def in CATALOG {
@@ -760,20 +540,8 @@ impl MetricsRegistry {
                     );
                 }
             };
-            let by_conn = |out: &mut String, pick: fn(&WireCounters) -> &AtomicU64| {
-                for (id, client, wire) in &conns {
-                    let who = client.as_deref().unwrap_or("");
-                    let _ = writeln!(
-                        out,
-                        "{}{{conn=\"{id}\",client=\"{}\"}} {}",
-                        def.name,
-                        escape_label(who),
-                        load(pick(wire))
-                    );
-                }
-            };
             match def.name {
-                "seqpoint_uptime_seconds" => plain(&mut out, now_s),
+                "seqpoint_uptime_seconds" => plain(&mut out, self.start.elapsed().as_secs()),
                 "seqpoint_connections_opened_total" => {
                     plain(&mut out, load(&self.connections_opened));
                 }
@@ -784,10 +552,6 @@ impl MetricsRegistry {
                     &mut out,
                     load(&self.connections_opened).saturating_sub(load(&self.connections_closed)),
                 ),
-                "seqpoint_messages_in_total" => plain(&mut out, load(&self.wire.messages_in)),
-                "seqpoint_messages_out_total" => plain(&mut out, load(&self.wire.messages_out)),
-                "seqpoint_bytes_in_total" => plain(&mut out, load(&self.wire.bytes_in)),
-                "seqpoint_bytes_out_total" => plain(&mut out, load(&self.wire.bytes_out)),
                 "seqpoint_client_messages_in_total" => {
                     by_client(&mut out, |s| &s.wire.messages_in);
                 }
@@ -799,21 +563,11 @@ impl MetricsRegistry {
                 "seqpoint_client_jobs_submitted_total" => {
                     by_client(&mut out, |s| &s.jobs_submitted);
                 }
-                "seqpoint_conn_messages_in_total" => by_conn(&mut out, |w| &w.messages_in),
-                "seqpoint_conn_messages_out_total" => by_conn(&mut out, |w| &w.messages_out),
-                "seqpoint_conn_bytes_in_total" => by_conn(&mut out, |w| &w.bytes_in),
-                "seqpoint_conn_bytes_out_total" => by_conn(&mut out, |w| &w.bytes_out),
-                "seqpoint_jobs_submitted_total" => plain(&mut out, load(&self.jobs_submitted)),
                 "seqpoint_jobs_completed_total" => plain(&mut out, load(&self.jobs_completed)),
                 "seqpoint_jobs_failed_total" => plain(&mut out, load(&self.jobs_failed)),
                 "seqpoint_jobs_cancelled_total" => plain(&mut out, load(&self.jobs_cancelled)),
                 "seqpoint_jobs_running" => plain(&mut out, gauges.jobs_running),
                 "seqpoint_rounds_total" => plain(&mut out, load(&self.rounds_total)),
-                "seqpoint_round_wall_ms_total" => {
-                    plain(&mut out, load(&self.round_wall_ms_total));
-                }
-                "seqpoint_round_wall_ms_last" => plain(&mut out, load(&self.round_wall_ms_last)),
-                "seqpoint_items_total" => plain(&mut out, load(&self.items_total)),
                 "seqpoint_stage_items_in_total" => {
                     by_stage(&mut out, |s| s.items_in.load(Ordering::Relaxed).to_string());
                 }
@@ -849,15 +603,6 @@ impl MetricsRegistry {
                 "seqpoint_worker_bytes_out_total" => {
                     plain(&mut out, load(&self.worker_wire.bytes_out));
                 }
-                "seqpoint_messages_in_60s" => {
-                    plain(&mut out, self.window_messages_in.sum(now_s));
-                }
-                "seqpoint_messages_out_60s" => {
-                    plain(&mut out, self.window_messages_out.sum(now_s));
-                }
-                "seqpoint_bytes_in_60s" => plain(&mut out, self.window_bytes_in.sum(now_s)),
-                "seqpoint_bytes_out_60s" => plain(&mut out, self.window_bytes_out.sum(now_s)),
-                "seqpoint_rounds_60s" => plain(&mut out, self.window_rounds.sum(now_s)),
                 // Unreachable while the catalog and this match agree;
                 // the `render_covers_every_catalog_entry` test pins it.
                 _ => {}
@@ -870,7 +615,8 @@ impl MetricsRegistry {
 /// The registry doubles as the streaming pipeline's per-stage meter:
 /// `run_job` attaches it at operator construction, so every served
 /// job's source/fold/merge/gate/sink/replay work lands in the `stage`-labeled
-/// families — atomic adds only, preserving the hot-path-cost rule.
+/// families — atomic adds only, preserving the hot-path-cost rule. A
+/// fold sample that produced reports is one completed round.
 impl StageMeter for MetricsRegistry {
     fn record(&self, stage: StageId, sample: StageSample) {
         if let Some(slot) = self.stages.get(stage.index()) {
@@ -878,6 +624,9 @@ impl StageMeter for MetricsRegistry {
             slot.items_out
                 .fetch_add(sample.items_out, Ordering::Relaxed);
             slot.wall_us.fetch_add(sample.wall_us, Ordering::Relaxed);
+        }
+        if matches!(stage, StageId::Fold) && sample.items_out > 0 {
+            self.rounds_total.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -897,60 +646,44 @@ fn escape_label(value: &str) -> String {
 }
 
 /// Wire-accounting handle for one client connection. Created by
-/// [`MetricsRegistry::conn_opened`]; dropping it marks the connection
-/// closed and retires its per-connection series.
+/// [`MetricsRegistry::conn_opened`]; dropping it counts the connection
+/// closed.
 #[derive(Debug)]
 pub struct ConnMetrics {
     registry: Arc<MetricsRegistry>,
-    id: u64,
-    conn: Arc<WireCounters>,
     client: OnceLock<Arc<ClientScope>>,
 }
 
 impl ConnMetrics {
-    /// Attribute this connection (and its traffic from here on) to the
-    /// announced client identity. First call wins; later calls only
-    /// relabel the per-connection series.
+    /// Attribute this connection's traffic from here on to the
+    /// announced client identity; until then it counts under
+    /// `client=""`. First call wins.
     pub fn set_client(&self, name: &str) {
-        let scope = self.registry.client_scope(name);
-        let _ = self.client.set(scope);
-        self.registry.label_conn(self.id, name);
+        if self.client.get().is_none() {
+            let _ = self.client.set(self.registry.client_scope(name));
+        }
+    }
+
+    fn scope(&self) -> &ClientScope {
+        self.client.get().unwrap_or(&self.registry.anonymous)
     }
 
     /// One protocol frame of `bytes` arrived on this connection.
     pub fn record_in(&self, bytes: u64) {
-        self.registry.wire.record_in(bytes);
-        self.registry
-            .window_messages_in
-            .record(self.registry.now_s(), 1);
-        self.registry
-            .window_bytes_in
-            .record(self.registry.now_s(), bytes);
-        self.conn.record_in(bytes);
-        if let Some(scope) = self.client.get() {
-            scope.wire.record_in(bytes);
-        }
+        self.scope().wire.record_in(bytes);
     }
 
     /// One protocol frame of `bytes` was sent on this connection.
     pub fn record_out(&self, bytes: u64) {
-        self.registry.wire.record_out(bytes);
-        self.registry
-            .window_messages_out
-            .record(self.registry.now_s(), 1);
-        self.registry
-            .window_bytes_out
-            .record(self.registry.now_s(), bytes);
-        self.conn.record_out(bytes);
-        if let Some(scope) = self.client.get() {
-            scope.wire.record_out(bytes);
-        }
+        self.scope().wire.record_out(bytes);
     }
 }
 
 impl Drop for ConnMetrics {
     fn drop(&mut self) {
-        self.registry.conn_closed(self.id);
+        self.registry
+            .connections_closed
+            .fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -972,7 +705,6 @@ mod tests {
         registry.cache_hit();
         registry.cache_miss();
         registry.cache_follower();
-        registry.round_completed(12, 96);
         registry.fleet_leased(3);
         registry.fleet_reclaimed(1);
         registry.worker_in(40);
@@ -989,7 +721,7 @@ mod tests {
                 wall_us: 9_000,
             },
         );
-        std::mem::forget(conn); // keep the per-conn series alive
+        drop(conn);
         registry
     }
 
@@ -1094,49 +826,59 @@ mod tests {
     }
 
     #[test]
-    fn window_sums_only_the_trailing_sixty_seconds() {
-        let w = Window::default();
-        w.record(0, 5);
-        w.record(1, 7);
-        assert_eq!(w.sum(1), 12);
-        // 59 seconds later both are still visible...
-        assert_eq!(w.sum(59), 12);
-        // ...at 60 the second-0 bucket ages out...
-        assert_eq!(w.sum(60), 7);
-        // ...and a wrapped write retires the stale bucket it lands on.
-        w.record(60, 1);
-        assert_eq!(w.sum(60), 8);
-        // One second on, the second-1 bucket ages out too.
-        assert_eq!(w.sum(61), 1);
-        assert_eq!(w.sum(200), 0);
-    }
-
-    #[test]
-    fn conn_drop_retires_the_connection_series() {
+    fn conn_drop_counts_the_connection_closed() {
         let registry = MetricsRegistry::new();
         let conn = registry.conn_opened();
         conn.record_in(10);
         let live = registry.render(&RenderGauges::default());
-        assert!(live.contains("seqpoint_conn_bytes_in_total{conn=\"1\""));
+        assert!(live.contains("seqpoint_connections_open 1\n"));
+        assert!(live.contains("seqpoint_connections_closed_total 0\n"));
         drop(conn);
         let gone = registry.render(&RenderGauges::default());
-        assert!(!gone.contains("seqpoint_conn_bytes_in_total{conn=\"1\""));
-        assert!(gone.contains("seqpoint_connections_closed_total 1"));
+        assert!(gone.contains("seqpoint_connections_opened_total 1\n"));
+        assert!(gone.contains("seqpoint_connections_closed_total 1\n"));
+        assert!(gone.contains("seqpoint_connections_open 0\n"));
     }
 
     #[test]
     fn client_attribution_starts_at_set_client() {
         let registry = MetricsRegistry::new();
         let conn = registry.conn_opened();
-        conn.record_in(100); // pre-identity: global + conn only
+        conn.record_in(100); // pre-identity: the anonymous client
         conn.set_client("c1");
         conn.record_in(11);
         conn.record_out(22);
         let text = registry.render(&RenderGauges::default());
-        assert!(text.contains("seqpoint_client_bytes_in_total{client=\"c1\"} 11"));
-        assert!(text.contains("seqpoint_client_bytes_out_total{client=\"c1\"} 22"));
-        assert!(text.contains("seqpoint_bytes_in_total 111"));
-        assert!(text.contains("seqpoint_conn_bytes_in_total{conn=\"1\",client=\"c1\"} 111"));
+        assert!(text.contains("seqpoint_client_bytes_in_total{client=\"c1\"} 11\n"));
+        assert!(text.contains("seqpoint_client_bytes_out_total{client=\"c1\"} 22\n"));
+        assert!(text.contains("seqpoint_client_bytes_in_total{client=\"\"} 100\n"));
+        assert!(text.contains("seqpoint_client_messages_in_total{client=\"\"} 1\n"));
+        assert!(text.contains("seqpoint_client_bytes_out_total{client=\"\"} 0\n"));
+    }
+
+    /// A fold sample that produced reports is one completed round; a
+    /// failed fold and other stages count none.
+    #[test]
+    fn each_fold_sample_with_reports_counts_one_round() {
+        let registry = MetricsRegistry::new();
+        let fold = StageSample {
+            items_in: 6,
+            items_out: 3,
+            wall_us: 500,
+        };
+        for _ in 0..3 {
+            registry.record(StageId::Fold, fold);
+        }
+        registry.record(
+            StageId::Fold,
+            StageSample {
+                items_out: 0,
+                ..fold
+            },
+        );
+        registry.record(StageId::Merge, fold);
+        let text = registry.render(&RenderGauges::default());
+        assert!(text.contains("seqpoint_rounds_total 3\n"), "{text}");
     }
 
     #[test]

@@ -38,13 +38,11 @@ use std::time::{Duration, Instant, SystemTime};
 use seqpoint_core::protocol::{
     decode_frame, encode_frame, JobClass, JobSpec, JobState, Request, Response, PROTOCOL_VERSION,
 };
-use sqnn::IterationShape;
 use sqnn_profiler::pipeline::StreamGraph;
 use sqnn_profiler::stream::{
-    stream_fingerprint, CheckpointOptions, RoundExecutor, ShardChunk, ShardReport, StreamOutcome,
-    ThreadExecutor,
+    stream_fingerprint, CheckpointOptions, RoundExecutor, StreamOutcome, ThreadExecutor,
 };
-use sqnn_profiler::{IterationProfile, ProfileError, Profiler};
+use sqnn_profiler::{ProfileError, Profiler};
 
 use crate::cache::{Admission, CacheKey, ResultCache};
 use crate::executor::{SubprocessExecutor, ThrottledExecutor, WorkerPool};
@@ -1131,16 +1129,11 @@ fn run_job(shared: &Arc<Shared>, id: &str) {
     );
 
     let run = |executor: &mut dyn RoundExecutor| {
-        // Innermost wrapper, so the recorded wall time is the round's
-        // actual execution — tenancy throttling sleeps are excluded.
-        let mut metered = MeteredExecutor {
-            inner: executor,
-            metrics: &shared.metrics,
-        };
         // One canonical operator-graph assembly per attempt, with the
         // shared registry attached as the per-stage meter: source/fold/
         // merge/gate/sink/replay items, wall time, and channel backpressure
-        // land in the `stage`-labeled scrape families.
+        // land in the `stage`-labeled scrape families, and each fold
+        // sample counts one round.
         let assemble = |executor: &mut dyn RoundExecutor| {
             StreamGraph::new(executor, &resolved.plan, &resolved.options, fingerprint)
                 .with_checkpoint(&policy)
@@ -1149,11 +1142,10 @@ fn run_job(shared: &Arc<Shared>, id: &str) {
                 .run()
         };
         if spec.throttle_ms > 0 {
-            let mut throttled =
-                ThrottledExecutor::new(&mut metered, spec.throttle_ms, &interrupted);
+            let mut throttled = ThrottledExecutor::new(executor, spec.throttle_ms, &interrupted);
             assemble(&mut throttled)
         } else {
-            assemble(&mut metered)
+            assemble(executor)
         }
     };
     let profiler = Profiler::new();
@@ -1275,44 +1267,6 @@ fn run_job(shared: &Arc<Shared>, id: &str) {
     }
 }
 
-/// [`RoundExecutor`] shim that meters round boundaries — wall time per
-/// round and items measured — into the shared registry. Placement-
-/// agnostic: it wraps whichever executor `run_job` picked.
-struct MeteredExecutor<'a> {
-    inner: &'a mut dyn RoundExecutor,
-    metrics: &'a MetricsRegistry,
-}
-
-impl RoundExecutor for MeteredExecutor<'_> {
-    fn execute_round(&mut self, chunks: &[ShardChunk]) -> Result<Vec<ShardReport>, ProfileError> {
-        let started = Instant::now();
-        let reports = self.inner.execute_round(chunks)?;
-        let items: u64 = chunks
-            .iter()
-            .flat_map(|c| c.batches.iter())
-            .map(|b| u64::from(b.samples))
-            .sum();
-        self.metrics
-            .round_completed(started.elapsed().as_millis() as u64, items);
-        Ok(reports)
-    }
-
-    fn profile_shape(&mut self, shape: IterationShape) -> Result<IterationProfile, ProfileError> {
-        self.inner.profile_shape(shape)
-    }
-
-    fn profile_shapes(
-        &mut self,
-        shapes: &[IterationShape],
-    ) -> Result<Vec<IterationProfile>, ProfileError> {
-        self.inner.profile_shapes(shapes)
-    }
-
-    fn seed_shapes(&mut self, shapes: &[IterationProfile]) {
-        self.inner.seed_shapes(shapes);
-    }
-}
-
 fn finalize_cancel(shared: &Shared, id: &str) {
     let _ = std::fs::remove_file(shared.spec_path(id));
     let _ = std::fs::remove_file(shared.ckpt_path(id));
@@ -1392,7 +1346,7 @@ fn authenticate(
         Ok(_) => {}
     }
     let reader = limited.into_inner();
-    // Counted pre-identity (global + connection scope only): client
+    // Counted pre-identity, under the anonymous client `""`: client
     // attribution starts once the Hello below actually authenticates,
     // so an unauthenticated peer cannot mint per-client label series.
     metrics.record_in(line.len() as u64);
@@ -1455,7 +1409,7 @@ fn handle_connection(shared: Arc<Shared>, mut stream: Stream, requires_auth: boo
         return;
     };
     // Wire accounting for this connection; dropping the handle (every
-    // return path) retires the per-connection series.
+    // return path) counts the connection closed.
     let conn_metrics = shared.metrics.conn_opened();
     let mut reader = BufReader::new(read_half);
     // The identity this connection submits jobs under: set by the TCP

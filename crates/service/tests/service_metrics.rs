@@ -80,6 +80,12 @@ fn fetch_metrics(client: &mut Client) -> String {
     }
 }
 
+/// Jobs submitted by specs that name no client.
+const ANON_JOBS: &str = "seqpoint_client_jobs_submitted_total{client=\"\"}";
+
+/// Round time: the fold stage times every round's executor dispatch.
+const FOLD_WALL_MS: &str = "seqpoint_stage_wall_ms_total{stage=\"fold\"}";
+
 /// The value of one series: `series` is the full sample name including
 /// any label set (`seqpoint_queue_depth{class="interactive"}`).
 fn metric(text: &str, series: &str) -> u64 {
@@ -119,10 +125,8 @@ fn counters_are_monotone_across_a_served_job() {
 
     // The job shows up in every layer it crossed: admission, cache,
     // scheduler, executor, terminal accounting.
-    assert_eq!(
-        metric(&after, "seqpoint_jobs_submitted_total"),
-        metric(&before, "seqpoint_jobs_submitted_total") + 1
-    );
+    // The spec names no client, so the job counts under `client=""`.
+    assert_eq!(metric(&after, ANON_JOBS), metric(&before, ANON_JOBS) + 1);
     assert_eq!(
         metric(&after, "seqpoint_jobs_completed_total"),
         metric(&before, "seqpoint_jobs_completed_total") + 1
@@ -142,37 +146,37 @@ fn counters_are_monotone_across_a_served_job() {
         ) + 1
     );
     assert!(metric(&after, "seqpoint_rounds_total") > metric(&before, "seqpoint_rounds_total"));
-    assert!(metric(&after, "seqpoint_items_total") > metric(&before, "seqpoint_items_total"));
 
     // The job ran through the operator graph with the registry attached
     // as its per-stage meter, so every pipeline stage shows traffic.
     for stage in ["source", "fold", "merge", "gate"] {
-        let series = format!("seqpoint_stage_items_in_total{{stage=\"{stage}\"}}");
-        assert!(
-            metric(&after, &series) > metric(&before, &series),
-            "{series} did not move across a served job"
-        );
+        for family in [
+            "seqpoint_stage_items_in_total",
+            "seqpoint_stage_items_out_total",
+        ] {
+            let series = format!("{family}{{stage=\"{stage}\"}}");
+            assert!(
+                metric(&after, &series) > metric(&before, &series),
+                "{series} did not move across a served job"
+            );
+        }
     }
     // Stage wall time is recorded at microsecond resolution, so even a
     // small served job's fold adds a fractional, non-zero amount.
-    assert!(
-        metric_ms(&after, "seqpoint_stage_wall_ms_total{stage=\"fold\"}")
-            > metric_ms(&before, "seqpoint_stage_wall_ms_total{stage=\"fold\"}")
-    );
+    assert!(metric_ms(&after, FOLD_WALL_MS) > metric_ms(&before, FOLD_WALL_MS));
 
     // Counters never move backwards, whatever else the daemon did.
     let final_view = fetch_metrics(&mut client);
     for series in [
         "seqpoint_connections_opened_total",
-        "seqpoint_messages_in_total",
-        "seqpoint_messages_out_total",
-        "seqpoint_bytes_in_total",
-        "seqpoint_bytes_out_total",
-        "seqpoint_jobs_submitted_total",
+        "seqpoint_client_messages_in_total{client=\"\"}",
+        "seqpoint_client_messages_out_total{client=\"\"}",
+        "seqpoint_client_bytes_in_total{client=\"\"}",
+        "seqpoint_client_bytes_out_total{client=\"\"}",
+        ANON_JOBS,
         "seqpoint_jobs_completed_total",
         "seqpoint_rounds_total",
-        "seqpoint_round_wall_ms_total",
-        "seqpoint_items_total",
+        "seqpoint_stage_items_in_total{stage=\"fold\"}",
         "seqpoint_cache_misses_total",
     ] {
         assert!(
@@ -180,6 +184,10 @@ fn counters_are_monotone_across_a_served_job() {
             "{series} went backwards"
         );
     }
+    assert!(
+        metric_ms(&final_view, FOLD_WALL_MS) >= metric_ms(&after, FOLD_WALL_MS),
+        "{FOLD_WALL_MS} went backwards"
+    );
 
     shutdown(&socket);
     handle.join().unwrap();
@@ -190,9 +198,11 @@ fn byte_counts_match_a_recorded_transcript() {
     let scratch = Scratch::new("transcript");
     let handle = start_server(ServeConfig::new(scratch.socket(), scratch.state()));
     let socket = scratch.socket();
-    // Wait for readiness with a throwaway connection, then speak raw
-    // NDJSON so the test can record the exact bytes on the wire.
-    drop(Client::connect_ready(&socket, Duration::from_secs(10)).unwrap());
+    // Wait for readiness with an anonymous connection and take a
+    // baseline over it, then speak raw NDJSON so the test can record
+    // the exact bytes on the wire.
+    let mut ready = Client::connect_ready(&socket, Duration::from_secs(10)).unwrap();
+    let baseline = fetch_metrics(&mut ready);
 
     let mut stream = UnixStream::connect(&socket).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
@@ -210,14 +220,14 @@ fn byte_counts_match_a_recorded_transcript() {
     };
 
     // The Hello itself arrives before the identity is known, so its
-    // bytes land only in the global/per-connection series — but its
-    // Welcome response is sent *after* and is attributed.
+    // bytes land under the anonymous client `""` — but its Welcome
+    // response is sent *after* and is attributed.
     let hello = Request::Hello {
         version: PROTOCOL_VERSION,
         token: None,
         client: Some("transcript".to_owned()),
     };
-    let (welcome, _, welcome_len) = exchange(&mut stream, &mut reader, &hello);
+    let (welcome, hello_len, welcome_len) = exchange(&mut stream, &mut reader, &hello);
     assert!(welcome.contains("Welcome"), "{welcome}");
     received += welcome_len;
 
@@ -269,8 +279,24 @@ fn byte_counts_match_a_recorded_transcript() {
         metric(&text, &series("seqpoint_client_messages_out_total")),
         3
     );
+    // The baseline connection sent nothing after its Metrics request
+    // (counted before it rendered), so the only anonymous inbound
+    // frame since is the Hello.
+    let anon_in = "seqpoint_client_bytes_in_total{client=\"\"}";
+    assert_eq!(
+        metric(&text, anon_in),
+        metric(&baseline, anon_in) + hello_len
+    );
+    let anon_frames = "seqpoint_client_messages_in_total{client=\"\"}";
+    assert_eq!(
+        metric(&text, anon_frames),
+        metric(&baseline, anon_frames) + 1
+    );
+    let opened = "seqpoint_connections_opened_total";
+    assert_eq!(metric(&text, opened), metric(&baseline, opened) + 1);
 
     drop(stream);
+    drop(ready);
     shutdown(&socket);
     handle.join().unwrap();
 }
@@ -304,7 +330,7 @@ fn scrape_endpoint_serves_get_and_rejects_garbage() {
     for name in [
         "seqpoint_uptime_seconds",
         "seqpoint_connections_opened_total",
-        "seqpoint_jobs_submitted_total",
+        ANON_JOBS,
         "seqpoint_rounds_total",
         "seqpoint_cache_misses_total",
         "seqpoint_fleet_idle",
@@ -397,17 +423,20 @@ fn registry_restarts_zeroed_with_the_daemon() {
     let handle = start_server(ServeConfig::new(&socket, scratch.state()));
     let mut client = Client::connect_ready(&socket, Duration::from_secs(10)).unwrap();
     let second = fetch_metrics(&mut client);
-    assert_eq!(metric(&second, "seqpoint_jobs_submitted_total"), 0);
+    assert_eq!(metric(&second, ANON_JOBS), 0);
     assert_eq!(metric(&second, "seqpoint_jobs_completed_total"), 0);
     assert_eq!(metric(&second, "seqpoint_rounds_total"), 0);
-    assert_eq!(metric(&second, "seqpoint_items_total"), 0);
+    assert_eq!(
+        metric(&second, "seqpoint_stage_items_in_total{stage=\"fold\"}"),
+        0
+    );
     // The recovered result is still served — from the rebuilt cache,
     // which counts in the *new* lifetime.
     let dup = client.submit(None, quick_spec(3_000, 5)).unwrap();
     client.wait_result(&dup).unwrap();
     let after = fetch_metrics(&mut client);
     assert_eq!(metric(&after, "seqpoint_cache_hits_total"), 1);
-    assert_eq!(metric(&after, "seqpoint_jobs_submitted_total"), 1);
+    assert_eq!(metric(&after, ANON_JOBS), 1);
 
     shutdown(&socket);
     handle.join().unwrap();

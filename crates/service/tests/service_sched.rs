@@ -117,6 +117,25 @@ fn cache_counters(client: &mut Client) -> (u64, u64) {
     }
 }
 
+/// The live metrics exposition, over the protocol.
+fn fetch_metrics(client: &mut Client) -> String {
+    match client.request(&Request::Metrics).unwrap() {
+        Response::Metrics { text } => text,
+        other => panic!("unexpected {other:?}"),
+    }
+}
+
+/// The value of one series: `series` is the full sample name including
+/// any label set (`seqpoint_queue_depth{class="interactive"}`).
+fn metric(text: &str, series: &str) -> f64 {
+    text.lines()
+        .find_map(|line| line.strip_prefix(series)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("series {series} not in exposition:\n{text}"))
+        .trim()
+        .parse()
+        .unwrap()
+}
+
 #[test]
 fn scheduling_metadata_hits_the_cache_but_semantic_changes_miss() {
     let scratch = Scratch::new("keys");
@@ -184,6 +203,14 @@ fn scheduling_metadata_hits_the_cache_but_semantic_changes_miss() {
         expected_hits += 1;
         assert_eq!(cache_counters(&mut client), (expected_hits, 1));
     }
+    // The registry agrees with the Pong counters.
+    let cached = fetch_metrics(&mut client);
+    assert_eq!(metric(&cached, "seqpoint_cache_entries"), 1.0);
+    assert_eq!(
+        metric(&cached, "seqpoint_cache_hits_total"),
+        expected_hits as f64
+    );
+    assert_eq!(metric(&cached, "seqpoint_cache_misses_total"), 1.0);
 
     // Semantic changes ARE part of the identity: every one must miss
     // and run its own profiling.
@@ -294,6 +321,13 @@ fn duplicate_inflight_submissions_collapse_to_one_run() {
     // one retained entry, and the follower's result file on disk for
     // recovery.
     assert_eq!(cache_counters(&mut client), (1, 1));
+    assert_eq!(
+        metric(
+            &fetch_metrics(&mut client),
+            "seqpoint_cache_followers_total"
+        ),
+        1.0
+    );
     assert!(scratch.state().join("dup-b.result.txt").exists());
 
     shutdown(&socket);
@@ -391,6 +425,13 @@ fn per_client_quota_rejects_the_flooding_tenant_only() {
         )
         .unwrap();
     assert!(client.wait_result(&bob).is_ok());
+    // Bob waited in the queue behind Alice's paced job.
+    assert!(
+        metric(
+            &fetch_metrics(&mut client),
+            "seqpoint_queue_wait_ms_total{class=\"interactive\"}"
+        ) > 0.0
+    );
     // Once Alice's job settles, her next submission is admitted again.
     assert!(client.wait_result("alice-1").is_ok());
     let again = client.submit(

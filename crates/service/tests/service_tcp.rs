@@ -132,6 +132,25 @@ fn raw_roundtrip(stream: &mut TcpStream, request: &Request) -> Response {
     decode_frame(&reply).unwrap()
 }
 
+/// The live metrics exposition, over the protocol.
+fn fetch_metrics(client: &mut Client) -> String {
+    match client.request(&Request::Metrics).unwrap() {
+        Response::Metrics { text } => text,
+        other => panic!("unexpected {other:?}"),
+    }
+}
+
+/// The value of one series: `series` is the full sample name including
+/// any label set (`seqpoint_client_bytes_in_total{client=""}`).
+fn metric(text: &str, series: &str) -> f64 {
+    text.lines()
+        .find_map(|line| line.strip_prefix(series)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("series {series} not in exposition:\n{text}"))
+        .trim()
+        .parse()
+        .unwrap()
+}
+
 #[test]
 fn tcp_served_jobs_match_unix_and_offline_byte_for_byte() {
     let scratch = Scratch::new("identity");
@@ -257,6 +276,22 @@ fn unauthenticated_tcp_connections_are_rejected_before_any_job_state() {
         .unwrap(),
         Response::Error { .. }
     ));
+
+    // The refused peers' frames count under the anonymous client, and
+    // no client label series was minted for any of them. The first
+    // peer saw EOF, so its connection has been counted closed; `good`
+    // is still open.
+    let text = fetch_metrics(&mut good);
+    let anon = "seqpoint_client_bytes_in_total{client=\"\"}";
+    assert!(metric(&text, anon) > 0.0, "{text}");
+    assert!(
+        text.lines()
+            .filter(|line| line.contains("{client="))
+            .all(|line| line.contains("{client=\"\"}")),
+        "{text}"
+    );
+    assert!(metric(&text, "seqpoint_connections_closed_total") >= 1.0);
+    assert!(metric(&text, "seqpoint_connections_open") >= 1.0);
 
     shutdown(&scratch.socket());
     handle.join().unwrap();
@@ -407,6 +442,8 @@ fn terminal_job_ttl_evicts_aged_jobs_without_new_traffic() {
         assert!(!scratch.state().join(format!("{gone}.spec.json")).exists());
         assert!(!scratch.state().join(format!("{gone}.result.txt")).exists());
     }
+    // Eviction took the TTL to elapse, so the daemon is at least that old.
+    assert!(metric(&fetch_metrics(&mut client), "seqpoint_uptime_seconds") >= 1.0);
 
     shutdown(&socket);
     handle.join().unwrap();

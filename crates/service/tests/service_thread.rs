@@ -86,6 +86,27 @@ fn shutdown(socket: &std::path::Path) {
     }
 }
 
+const INTERACTIVE_DEPTH: &str = "seqpoint_queue_depth{class=\"interactive\"}";
+
+/// The live metrics exposition, over the protocol.
+fn fetch_metrics(client: &mut Client) -> String {
+    match client.request(&Request::Metrics).unwrap() {
+        Response::Metrics { text } => text,
+        other => panic!("unexpected {other:?}"),
+    }
+}
+
+/// The value of one series: `series` is the full sample name including
+/// any label set (`seqpoint_queue_depth{class="interactive"}`).
+fn metric(text: &str, series: &str) -> f64 {
+    text.lines()
+        .find_map(|line| line.strip_prefix(series)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("series {series} not in exposition:\n{text}"))
+        .trim()
+        .parse()
+        .unwrap()
+}
+
 #[test]
 fn concurrent_jobs_match_offline_stream_byte_for_byte() {
     let scratch = Scratch::new("concurrent");
@@ -225,6 +246,10 @@ fn cancel_queued_and_running_jobs() {
     client
         .submit(Some("waiting".to_owned()), quick_spec(3_000, 5))
         .unwrap();
+    // "waiting" cannot leave the queue while "running" holds the only
+    // slot (and "running" may not have left it yet either).
+    let queued = fetch_metrics(&mut client);
+    assert!(metric(&queued, INTERACTIVE_DEPTH) >= 1.0, "{queued}");
 
     // Cancel the queued job: immediate.
     assert!(matches!(
@@ -247,6 +272,10 @@ fn cancel_queued_and_running_jobs() {
 
     // Cancel the running job: cooperative, lands within a few rounds.
     std::thread::sleep(Duration::from_millis(200));
+    let running = fetch_metrics(&mut client);
+    assert_eq!(metric(&running, "seqpoint_jobs_running"), 1.0);
+    assert_eq!(metric(&running, INTERACTIVE_DEPTH), 0.0);
+    assert_eq!(metric(&running, "seqpoint_jobs_cancelled_total"), 1.0);
     assert!(matches!(
         client
             .request(&Request::Cancel {
@@ -277,6 +306,8 @@ fn cancel_queued_and_running_jobs() {
         }
         assert!(std::time::Instant::now() < deadline, "cancel never landed");
     }
+    let settled = fetch_metrics(&mut client);
+    assert_eq!(metric(&settled, "seqpoint_jobs_running"), 0.0);
 
     shutdown(&socket);
     handle.join().unwrap();
@@ -415,6 +446,11 @@ fn bad_specs_fail_the_job_not_the_server() {
     let id = client.submit(None, bad).unwrap();
     let err = client.wait_result(&id).unwrap_err();
     assert!(err.to_string().contains("unknown model"), "{err}");
+
+    assert_eq!(
+        metric(&fetch_metrics(&mut client), "seqpoint_jobs_failed_total"),
+        1.0
+    );
 
     // The server is still healthy.
     let good = client.submit(None, quick_spec(3_000, 5)).unwrap();

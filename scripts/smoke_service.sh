@@ -86,9 +86,9 @@ exec 3<&- 3>&-
 grep -q '^HTTP/1.0 200 OK' "$SMOKE_DIR/metrics.snapshot.log" \
   || { echo "smoke_service: metrics scrape did not return 200" >&2; exit 1; }
 for name in seqpoint_uptime_seconds seqpoint_connections_opened_total \
-            seqpoint_bytes_in_total seqpoint_bytes_out_total \
-            seqpoint_jobs_submitted_total seqpoint_jobs_completed_total \
-            seqpoint_rounds_total seqpoint_items_total \
+            seqpoint_client_bytes_in_total seqpoint_client_bytes_out_total \
+            seqpoint_client_jobs_submitted_total seqpoint_jobs_completed_total \
+            seqpoint_rounds_total seqpoint_stage_items_in_total \
             seqpoint_queue_dequeued_total seqpoint_cache_misses_total; do
   grep -q "^$name" "$SMOKE_DIR/metrics.snapshot.log" \
     || { echo "smoke_service: scrape is missing $name" >&2; exit 1; }

@@ -21,6 +21,9 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
+use seqpoint_core::protocol::{Request, Response};
+use seqpoint_service::client::Client;
+
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_seqpoint")
 }
@@ -186,6 +189,25 @@ fn worker_pids(harness: &Harness) -> Vec<u64> {
         .collect()
 }
 
+/// The daemon's live metrics exposition, over its Unix socket.
+fn metrics_of(harness: &Harness) -> String {
+    let mut client = Client::connect(&harness.socket()).unwrap();
+    match client.request(&Request::Metrics).unwrap() {
+        Response::Metrics { text } => text,
+        other => panic!("unexpected {other:?}"),
+    }
+}
+
+/// The value of one unlabelled series of an exposition.
+fn metric(text: &str, series: &str) -> f64 {
+    text.lines()
+        .find_map(|line| line.strip_prefix(series)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("series {series} not in exposition:\n{text}"))
+        .trim()
+        .parse()
+        .unwrap()
+}
+
 fn job_state(harness: &Harness, job: &str) -> String {
     let line = stdout_of(&harness.submit(&["--status", job]));
     line.trim().split(',').nth(1).unwrap_or("").to_owned()
@@ -267,6 +289,20 @@ fn killing_a_worker_mid_round_reassigns_the_job_from_its_checkpoint() {
         );
         std::thread::sleep(Duration::from_millis(100));
     }
+
+    // Every round went through the fleet pool: leases and worker wire
+    // traffic moved, and the workers of the last round are idle again.
+    let text = metrics_of(&harness);
+    for series in [
+        "seqpoint_fleet_leases_total",
+        "seqpoint_worker_messages_in_total",
+        "seqpoint_worker_messages_out_total",
+        "seqpoint_worker_bytes_in_total",
+        "seqpoint_worker_bytes_out_total",
+    ] {
+        assert!(metric(&text, series) > 0.0, "{series} did not move");
+    }
+    assert!(metric(&text, "seqpoint_fleet_idle") >= 1.0, "{text}");
 
     harness.shutdown_and_join();
 }
